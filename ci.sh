@@ -28,10 +28,16 @@ cargo run --release --offline -p mee-spec -- --tier exhaustive --budget full
 echo "== spec: property tier"
 cargo run --release --offline -p mee-spec -- --tier property
 
-# Smoke-run the parallel seed-sweep bench (2 sessions via MEE_BENCH_SAMPLES
-# has no effect here; scale 1 = 4 sessions, 64 bits each) and hold the
-# BENCH_sweep.json aggregate to its schema: a missing key means a consumer
-# diffing the trajectory across commits silently loses that series.
+# Smoke-run the figure dispatcher on its cheapest entry (the §3
+# timing-primitive census) so the name table and its argument handling
+# run end to end on every CI run.
+echo "== experiments smoke"
+cargo run --release --offline -p mee-bench --bin experiments -- timers 2019 1 >/dev/null
+
+# Smoke-run the parallel seed-sweep bench (scale 1 = 4 sessions, 64 bits
+# each) and hold the BENCH_sweep.json aggregate to its schema: a missing
+# key means a consumer diffing the trajectory across commits silently
+# loses that series.
 echo "== bench-sweep smoke"
 cargo run --release --offline -p mee-bench --bin bench-sweep -- 2019 1 --threads 2 >/dev/null
 for key in name root_seed sessions threads bits_per_session ber_mean ber_p95 \

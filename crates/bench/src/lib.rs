@@ -1,30 +1,32 @@
 #![warn(missing_docs)]
-//! Shared plumbing for the figure-regeneration binaries and the in-tree
-//! micro-benchmark harness.
+//! Shared plumbing for the `mee-bench` binaries: the `experiments`
+//! figure runner and the gated `bench-*` benchmarks.
 //!
-//! Every binary accepts `[seed] [scale]` positional arguments:
+//! `experiments <name> [seed] [scale]` regenerates one figure or table of
+//! the paper by name (see [`experiments`] for the names; `all` runs the
+//! full set). After the name, every binary accepts `[seed] [scale]`
+//! positional arguments:
 //!
 //! * `seed` (default 2019, the paper's year) — all machine RNGs derive
 //!   from it;
 //! * `scale` (default 1) — multiplies trial counts / payload sizes, so
-//!   `cargo run -p mee-bench --bin fig7 -- 7 4` runs a 4× heavier sweep.
+//!   `cargo run -p mee-bench --bin experiments -- fig7 7 4` runs a 4×
+//!   heavier sweep.
 //!
 //! Malformed arguments are hard errors: a typo'd sweep must never
 //! masquerade as the default run.
 //!
-//! The [`harness`] module replaces the previous registry-provided
-//! criterion benches with a zero-dependency measurement loop (warmup +
-//! timed samples, median/p95 in nanoseconds, one JSON line per benchmark
-//! on stdout). Run it with `cargo run --release -p mee-bench --bin
-//! bench-simulator` / `--bin bench-channel`.
+//! Host-time measurement of the simulator itself lives in `perfbench/`
+//! (per-layer and end-to-end metrics); the `bench-*` binaries here each
+//! carry a CI gate (schema, determinism, or bit-identity).
 
 pub mod campaign;
-pub mod harness;
+pub mod experiments;
 pub mod output;
 pub mod resilience;
 pub mod sweep;
 
-/// Parsed command-line arguments for a figure binary.
+/// Parsed command-line arguments for a `mee-bench` binary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HarnessArgs {
     /// RNG seed for the whole experiment.

@@ -138,8 +138,8 @@ impl std::fmt::Debug for SetAssocCache {
 impl SetAssocCache {
     /// Creates an empty cache with the given geometry and policy.
     ///
-    /// Accepts a concrete policy by value (statically dispatched — the fast
-    /// path) or a `Box<dyn ReplacementPolicy>` for external policies.
+    /// Accepts a concrete policy by value or a [`Policy`]; either way the
+    /// policy callbacks are statically dispatched.
     pub fn new(cfg: CacheConfig, policy: impl Into<Policy>) -> Self {
         let mut policy = policy.into();
         policy.attach(cfg.sets, cfg.ways);
@@ -291,89 +291,6 @@ impl SetAssocCache {
         }
         self.tags[base + way] = tag;
         self.policy.on_fill(set, way);
-        AccessResult {
-            hit: false,
-            evicted,
-            set,
-        }
-    }
-
-    /// [`Self::access`] followed immediately by [`Self::invalidate`] of the
-    /// same line — the per-level step of an establishment read-then-`clflush`
-    /// sweep, fused so one set lookup and one way scan replace the two of
-    /// each. The observable outcome is identical to the split calls: both
-    /// policy transitions (`on_hit`/`on_fill`, then `on_invalidate`) fire,
-    /// every statistics counter advances the same way, and the filled way
-    /// ends empty — the fill's tag write is simply never materialized. The
-    /// seeded property test `fused_access_invalidate_matches_split` holds
-    /// the two paths together under random interleavings for every policy.
-    ///
-    /// **The equivalence is local to this cache, with the two halves
-    /// adjacent.** Composing the fusion across a multi-level hierarchy
-    /// moves this cache's `on_invalidate` ahead of whatever the split
-    /// sequence interleaves between the halves — e.g. an inclusive outer
-    /// level's victim back-invalidation into the same set — and per-set
-    /// replacement-policy updates do not commute in general. That is why
-    /// `mee-machine`'s sweep pair issues the split calls in split order
-    /// rather than fusing per level.
-    ///
-    /// Returns the access's [`AccessResult`]; the line is no longer
-    /// resident on return.
-    #[must_use = "an evicted victim must be back-invalidated by inclusive outer levels"]
-    pub fn access_then_invalidate(&mut self, line: LineAddr) -> AccessResult {
-        let set = self.set_of(line);
-        let base = set * self.cfg.ways;
-        let tag = encode(line);
-        let ways = &self.tags[base..base + self.cfg.ways];
-
-        // Same fused single-pass scan as [`Self::access`].
-        let mut empty = None;
-        let mut hit = None;
-        for (w, &t) in ways.iter().enumerate() {
-            if t == tag {
-                hit = Some(w);
-                break;
-            }
-            if t == EMPTY && empty.is_none() {
-                empty = Some(w);
-            }
-        }
-        if let Some(way) = hit {
-            // Hit, then invalidate finds the same way.
-            self.policy.on_hit(set, way);
-            self.stats.hits += 1;
-            self.tags[base + way] = EMPTY;
-            self.resident -= 1;
-            self.policy.on_invalidate(set, way);
-            self.stats.invalidations += 1;
-            return AccessResult {
-                hit: true,
-                evicted: None,
-                set,
-            };
-        }
-
-        self.stats.misses += 1;
-        let (way, evicted) = match empty {
-            // Fill into an empty way then invalidate it: the tag write and
-            // the resident `+1`/`-1` cancel exactly.
-            Some(w) => (w, None),
-            None => {
-                let w = self.policy.victim_all(set, self.cfg.ways);
-                self.stats.evictions += 1;
-                let victim = decode(self.tags[base + w]);
-                // The fill replaces the victim (resident unchanged) and the
-                // invalidate then empties the way (resident -1).
-                self.tags[base + w] = EMPTY;
-                self.resident -= 1;
-                (w, Some(victim))
-            }
-        };
-        // The tags cancel but the policy sees both transitions — their
-        // composition is policy-specific state, not a no-op.
-        self.policy.on_fill(set, way);
-        self.policy.on_invalidate(set, way);
-        self.stats.invalidations += 1;
         AccessResult {
             hit: false,
             evicted,
@@ -821,68 +738,6 @@ mod tests {
                 for &a in &suffix {
                     assert_eq!(bulk.access(LineAddr::new(a)), serial.access(LineAddr::new(a)));
                 }
-            },
-        );
-    }
-
-    /// The fused sweep step is observationally identical to split
-    /// `access` + `invalidate` calls under random op streams, for every
-    /// replacement policy: same results, statistics, residents, and — via
-    /// a random access suffix — same replacement state and RNG position.
-    #[test]
-    fn fused_access_invalidate_matches_split() {
-        use crate::policy::{Fifo, Nru, RandomEviction, Srrip};
-        check(
-            "fused_access_invalidate_matches_split",
-            &PropConfig::from_env(64),
-            |rng| {
-                let policy = rng.random_range(0u64..6);
-                let seed = rng.random_range(0u64..1000);
-                let mk = || -> Policy {
-                    match policy {
-                        0 => TreePlru::new().into(),
-                        1 => TrueLru::new().into(),
-                        2 => Fifo::new().into(),
-                        3 => Nru::new().into(),
-                        4 => Srrip::new().into(),
-                        _ => RandomEviction::with_seed(seed).into(),
-                    }
-                };
-                let ways = pick(rng, &[1usize, 2, 4, 8]);
-                let cfg = CacheConfig::from_capacity(4 * ways * 64, ways, 64).unwrap();
-                let mut fused = SetAssocCache::new(cfg, mk());
-                let mut split = SetAssocCache::new(cfg, mk());
-                // Random mix: plain accesses (warming residents in), fused
-                // steps, and invalidations, over a small line universe so
-                // hits, empty-way fills, and full-set victims all occur.
-                let ops = vec_of(rng, 1..300, |r| {
-                    (r.random_range(0u8..4), r.random_range(0u64..32))
-                });
-                for &(op, a) in &ops {
-                    let line = LineAddr::new(a);
-                    match op {
-                        0 | 1 => {
-                            assert_eq!(fused.access(line), split.access(line));
-                        }
-                        2 => {
-                            let f = fused.access_then_invalidate(line);
-                            let s = split.access(line);
-                            assert!(split.invalidate(line));
-                            assert_eq!(f, s);
-                            assert!(!fused.contains(line));
-                        }
-                        _ => {
-                            assert_eq!(fused.invalidate(line), split.invalidate(line));
-                        }
-                    }
-                    assert_eq!(fused.stats(), split.stats());
-                    assert_eq!(fused.occupancy(), split.occupancy());
-                }
-                let mut f: Vec<_> = fused.resident_lines().collect();
-                let mut s: Vec<_> = split.resident_lines().collect();
-                f.sort_unstable();
-                s.sort_unstable();
-                assert_eq!(f, s);
             },
         );
     }

@@ -106,7 +106,7 @@ pub struct MachineConfig {
     /// pre-memo behaviour differential tests compare against. Purely a
     /// host-speed knob: translation has no timing side effects, so the
     /// capacity can never change a simulation (see `DESIGN.md`,
-    /// "Translation memo"). Overridable via `MEE_TLB`.
+    /// "Translation memo").
     pub tlb_entries: usize,
 }
 
@@ -114,32 +114,7 @@ pub struct MachineConfig {
 /// 192-page tenants of an attack setup rarely alias.
 const DEFAULT_TLB_ENTRIES: usize = 512;
 
-/// Resolves the `MEE_TLB` override, falling back to the built-in default.
-/// Resolved once per process, on first use: every later
-/// [`MachineConfig::default`] reuses the pinned value, so two defaults in
-/// one process can never disagree and the environment is parsed (and can
-/// panic) at most once.
-///
-/// # Panics
-///
-/// Panics (on the first call only) if `MEE_TLB` is set to a malformed or
-/// non-positive value — the workspace-wide strict-knob policy (to disable
-/// the memo, set [`MachineConfig::tlb_entries`] to `0` in code; an
-/// environment typo must never silently change the machine).
-fn env_tlb_entries() -> usize {
-    static RESOLVED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *RESOLVED.get_or_init(|| {
-        mee_rng::env_knob::positive_from_env::<usize>("MEE_TLB").unwrap_or(DEFAULT_TLB_ENTRIES)
-    })
-}
-
 impl Default for MachineConfig {
-    /// # Panics
-    ///
-    /// Panics if the `MEE_TLB` environment override is set to a malformed
-    /// or non-positive value (strict-knob policy). The override is
-    /// resolved once per process and then pinned, so only the first
-    /// `default()` can panic and all defaults agree.
     fn default() -> Self {
         MachineConfig {
             cores: 4,
@@ -174,7 +149,7 @@ impl Default for MachineConfig {
             mee_key: 0x006d_6565_5f6b_6579, // "mee_key"
             timer_quantum: 35,
             engine: EngineKind::default(),
-            tlb_entries: env_tlb_entries(),
+            tlb_entries: DEFAULT_TLB_ENTRIES,
         }
     }
 }
@@ -310,20 +285,6 @@ mod tests {
         let cfg = MachineConfig::small().with_engine(EngineKind::CycleStepped);
         assert_eq!(cfg.engine, EngineKind::CycleStepped);
         cfg.validate().unwrap();
-    }
-
-    #[test]
-    fn tlb_knob_follows_the_strict_grammar() {
-        // The default capacity is positive (memo on) and zero is reserved
-        // for in-code opt-out, never reachable from the environment.
-        assert!(MachineConfig::default().tlb_entries > 0);
-        for bad in ["0", "-8", "lots", "4.5", ""] {
-            assert!(
-                mee_rng::env_knob::parse_positive::<usize>("MEE_TLB", bad).is_err(),
-                "MEE_TLB={bad:?} must be rejected loudly"
-            );
-        }
-        assert_eq!(mee_rng::env_knob::parse_positive::<usize>("MEE_TLB", "128"), Ok(128));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   way, invalidating a way must make it the next full-mask victim (the bug
 //!   class fixed in this PR: stale PLRU bits surviving `on_invalidate`).
 
-use mee_cache::policy::{Fifo, Nru, RandomEviction, Srrip, TreePlru, TrueLru};
+use mee_cache::policy::{Fifo, Nru, Policy, RandomEviction, Srrip, TreePlru, TrueLru};
 use mee_cache::{CacheConfig, ReplacementPolicy, SetAssocCache};
 use mee_types::LineAddr;
 
@@ -38,14 +38,14 @@ pub const ALL_POLICIES: [&str; 6] = ["tree-plru", "lru", "fifo", "nru", "srrip",
 /// # Errors
 ///
 /// Returns a message for unknown names.
-pub fn policy_by_name(name: &str) -> Result<Box<dyn ReplacementPolicy>, String> {
+pub fn policy_by_name(name: &str) -> Result<Policy, String> {
     Ok(match name {
-        "tree-plru" => Box::new(TreePlru::new()),
-        "lru" => Box::new(TrueLru::new()),
-        "fifo" => Box::new(Fifo::new()),
-        "nru" => Box::new(Nru::new()),
-        "srrip" => Box::new(Srrip::new()),
-        "random" => Box::new(RandomEviction::with_seed(RANDOM_POLICY_SEED)),
+        "tree-plru" => TreePlru::new().into(),
+        "lru" => TrueLru::new().into(),
+        "fifo" => Fifo::new().into(),
+        "nru" => Nru::new().into(),
+        "srrip" => Srrip::new().into(),
+        "random" => RandomEviction::with_seed(RANDOM_POLICY_SEED).into(),
         other => return Err(format!("unknown policy {other:?}")),
     })
 }
@@ -122,7 +122,7 @@ pub fn check_victim_from_allowed(
 ) -> Result<(), String> {
     let mut policy = policy_by_name(policy_name)?;
     policy.attach(1, ways);
-    replay_policy(policy.as_mut(), ops);
+    replay_policy(&mut policy, ops);
     for mask_bits in 1u32..(1 << ways) {
         let allowed: Vec<bool> = (0..ways).map(|w| mask_bits & (1 << w) != 0).collect();
         let v = policy.victim(0, &allowed);
@@ -171,7 +171,7 @@ pub fn check_invalidated_preferred(
     }
     let mut policy = policy_by_name(policy_name)?;
     policy.attach(1, ways);
-    replay_policy(policy.as_mut(), ops);
+    replay_policy(&mut policy, ops);
     let allowed = vec![true; ways];
     let v = policy.victim(0, &allowed);
     if v != target {

@@ -3,17 +3,22 @@
 //! observable — per-op latencies, loaded values, MEE hit levels, final
 //! MEE/LLC statistics, decoded channel bits, and fault replays.
 //!
-//! Three tiers of evidence, cheapest first:
+//! Only the full scheduler-driven sessions at the bottom of this file
+//! (establish + transmit, with and without a fault plan — the resilience
+//! shape) exercise both engines: there the engines actually take different
+//! code paths, and the event queue's lazy invalidation is exercised by
+//! preemptions overriding queued wake-ups. The scheduler's own unit tests
+//! in `crates/machine/src/actor.rs` cover both engines at the actor level.
 //!
-//! * seeded random instruction traces through the [`DifferentialOracle`]
-//!   (`MEE_PROP_CASES` raises the count, `MEE_PROP_SEED` replays one case
-//!   from a failure's one-line recipe);
-//! * the paper-shaped traces — the figure-5 ladder walk and the figure-6
-//!   covert exchange — through the same oracle;
-//! * full scheduler-driven sessions (establish + transmit, with and
-//!   without a fault plan — the resilience shape), where the engines
-//!   actually take different code paths and the event queue's lazy
-//!   invalidation is exercised by preemptions overriding queued wake-ups.
+//! The trace tier — seeded random instruction traces and the paper-shaped
+//! traces (the figure-5 ladder walk, the figure-6 covert exchange, the
+//! establishment ladder) run through the [`DifferentialOracle`] — drives
+//! `Machine` directly and never enters the scheduler, so there the two
+//! `EngineKind` settings run the same code. Those tests pin that the
+//! engine knob stays inert below the scheduler, and the same oracle gates
+//! the translation memo and the batched sweep (`MEE_PROP_CASES` raises the
+//! random-trace count, `MEE_PROP_SEED` replays one case from a failure's
+//! one-line recipe).
 
 use mee_covert::attack::channel::{random_bits, ChannelConfig, Session};
 use mee_covert::attack::setup::AttackSetup;
@@ -155,8 +160,8 @@ fn ladder_machine(engine: EngineKind) -> Result<(Machine, Vec<ProcId>), ModelErr
 
 /// [`ladder_machine`] with the translation memo disabled — the machine the
 /// memoised one must be indistinguishable from.
-fn ladder_machine_no_memo(engine: EngineKind) -> Result<(Machine, Vec<ProcId>), ModelError> {
-    let mut cfg = tiny_config(PolicyKind::TreePlru).with_engine(engine);
+fn ladder_machine_no_memo() -> Result<(Machine, Vec<ProcId>), ModelError> {
+    let mut cfg = tiny_config(PolicyKind::TreePlru);
     cfg.tlb_entries = 0;
     let mut m = Machine::new(cfg)?;
     let spy = m.create_process(AddressSpaceKind::Enclave);
@@ -214,24 +219,22 @@ fn establishment_ladder_diff_empty_across_engines() {
 
 #[test]
 fn translation_memo_diff_empty_on_establishment_ladder() {
-    // Same engine, memo on vs off: translation is timing-free, so the
-    // transcripts must be empty-diff — the tentpole's core claim.
-    for engine in [EngineKind::CycleStepped, EngineKind::EventDriven] {
-        let oracle: DifferentialOracle<_, _> = DifferentialOracle::new(
-            move || ladder_machine(engine),
-            move || ladder_machine_no_memo(engine),
-        );
-        let diff = oracle
-            .run(&establishment_ladder_trace())
-            .expect("both machines build");
-        assert!(diff.is_empty(), "memo on/off diverged ({engine:?}):\n{diff}");
-        let trace = {
-            let mut rng = Rng::seed_from_u64(testbed::SEED ^ 0x7b0);
-            random_trace(&mut rng)
-        };
-        let diff = oracle.run(&trace).expect("both machines build");
-        assert!(diff.is_empty(), "memo on/off diverged on random trace:\n{diff}");
-    }
+    // Memo on vs off: translation is timing-free, so the transcripts must
+    // be empty-diff.
+    let oracle: DifferentialOracle<_, _> = DifferentialOracle::new(
+        || ladder_machine(EngineKind::default()),
+        ladder_machine_no_memo,
+    );
+    let diff = oracle
+        .run(&establishment_ladder_trace())
+        .expect("both machines build");
+    assert!(diff.is_empty(), "memo on/off diverged:\n{diff}");
+    let trace = {
+        let mut rng = Rng::seed_from_u64(testbed::SEED ^ 0x7b0);
+        random_trace(&mut rng)
+    };
+    let diff = oracle.run(&trace).expect("both machines build");
+    assert!(diff.is_empty(), "memo on/off diverged on random trace:\n{diff}");
 }
 
 #[test]
@@ -244,31 +247,25 @@ fn batched_sweep_matches_expanded_loop() {
     use mee_covert::spec::oracle::run_trace;
     let sweep_trace = establishment_ladder_trace();
     let split_trace: Vec<OracleOp> = sweep_trace.iter().flat_map(|op| op.expand_sweep()).collect();
-    for engine in [EngineKind::CycleStepped, EngineKind::EventDriven] {
-        let (mut ma, procs_a) = ladder_machine(engine).expect("build");
-        let (mut mb, procs_b) = ladder_machine(engine).expect("build");
-        let ta = run_trace(&mut ma, &procs_a, &sweep_trace);
-        let tb = run_trace(&mut mb, &procs_b, &split_trace);
-        let total = |t: &mee_covert::spec::oracle::Transcript| -> u64 {
-            t.records.iter().map(|r| r.latency).sum()
-        };
-        assert_eq!(total(&ta), total(&tb), "total latency diverged ({engine:?})");
-        assert_eq!(ta.mee_stats, tb.mee_stats, "MEE stats diverged ({engine:?})");
-        assert_eq!(ta.llc_stats, tb.llc_stats, "LLC stats diverged ({engine:?})");
-        assert_eq!(ta.mee_resident, tb.mee_resident, "MEE residency diverged");
-        for c in 0..ma.core_count() {
-            let id = mee_covert::machine::CoreId::new(c);
-            assert_eq!(
-                ma.core_now(id),
-                mb.core_now(id),
-                "core {c} clock diverged ({engine:?})"
-            );
-        }
-        assert!(
-            ta.records.iter().all(|r| r.error.is_none()),
-            "sweep trace errored"
-        );
+    let (mut ma, procs_a) = ladder_machine(EngineKind::default()).expect("build");
+    let (mut mb, procs_b) = ladder_machine(EngineKind::default()).expect("build");
+    let ta = run_trace(&mut ma, &procs_a, &sweep_trace);
+    let tb = run_trace(&mut mb, &procs_b, &split_trace);
+    let total = |t: &mee_covert::spec::oracle::Transcript| -> u64 {
+        t.records.iter().map(|r| r.latency).sum()
+    };
+    assert_eq!(total(&ta), total(&tb), "total latency diverged");
+    assert_eq!(ta.mee_stats, tb.mee_stats, "MEE stats diverged");
+    assert_eq!(ta.llc_stats, tb.llc_stats, "LLC stats diverged");
+    assert_eq!(ta.mee_resident, tb.mee_resident, "MEE residency diverged");
+    for c in 0..ma.core_count() {
+        let id = mee_covert::machine::CoreId::new(c);
+        assert_eq!(ma.core_now(id), mb.core_now(id), "core {c} clock diverged");
     }
+    assert!(
+        ta.records.iter().all(|r| r.error.is_none()),
+        "sweep trace errored"
+    );
 }
 
 /// Everything observable about a full scheduler-driven session.

@@ -1,7 +1,7 @@
 //! Paper-anchor reproduction tests: every figure's qualitative claim, at
 //! reduced scale so the whole file runs in seconds. The full-scale numbers
 //! live in EXPERIMENTS.md and are produced by `cargo run -p mee-bench
-//! --bin all`.
+//! --bin experiments -- all`.
 
 use mee_covert::attack::channel::ChannelConfig;
 use mee_covert::attack::experiments::{
