@@ -113,4 +113,21 @@ for key in name root_seed samples candidates reps host_ns_p50 host_ns_p90 \
   grep -q "\"${key}\":" BENCH_establish.json ||
     { echo "BENCH_establish.json schema drift: missing key '${key}'" >&2; exit 1; }
 done
+
+# The repository benchmark's correctness gates: its unit tests, then short
+# runs of every workload on the default and held-out seeds. Each run checks
+# its simulated outputs against perfbench/expected.txt and exits 1 on drift.
+# enclave_rw is also run traced, the only path that reaches tree writes
+# with per-layer counts.
+echo "== perfbench correctness"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+for seed in 2019 2718; do
+  for workload in establish transmit noisy enclave_rw; do
+    echo "-- perfbench ${workload} seed ${seed}"
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+      --workload "${workload}" --seed "${seed}" --seconds 1 --trace 0 >/dev/null
+  done
+done
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload enclave_rw --seconds 1 --trace 1 >/dev/null
 echo "ci.sh: all checks passed"

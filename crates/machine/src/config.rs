@@ -106,7 +106,7 @@ pub struct MachineConfig {
     /// pre-memo behaviour differential tests compare against. Purely a
     /// host-speed knob: translation has no timing side effects, so the
     /// capacity can never change a simulation (see `DESIGN.md`,
-    /// "Translation memo").
+    /// "Translation memo"). Must be `0` or a power of two.
     pub tlb_entries: usize,
 }
 
@@ -200,8 +200,9 @@ impl MachineConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::InvalidConfig`] if any component is invalid or
-    /// there are no cores.
+    /// Returns [`ModelError::InvalidConfig`] if any component is invalid,
+    /// there are no cores, a tree-PLRU cache has a way count that is not a
+    /// power of two, or `tlb_entries` is neither 0 nor a power of two.
     pub fn validate(&self) -> Result<(), ModelError> {
         if self.cores == 0 {
             return Err(ModelError::InvalidConfig {
@@ -215,17 +216,34 @@ impl MachineConfig {
         }
         self.timing.validate()?;
         self.dram.validate()?;
-        for (name, c) in [
-            ("l1", &self.l1),
-            ("l2", &self.l2),
-            ("llc", &self.llc),
-            ("mee_cache", &self.mee_cache),
+        for (name, c, policy) in [
+            ("l1", &self.l1, self.mee_policy),
+            ("l2", &self.l2, self.mee_policy),
+            ("llc", &self.llc, self.llc_policy),
+            ("mee_cache", &self.mee_cache, self.mee_policy),
         ] {
             CacheConfig::from_capacity(c.capacity_bytes(), c.ways, c.line_size).map_err(|_| {
                 ModelError::InvalidConfig {
                     reason: format!("invalid {name} cache geometry: {c:?}"),
                 }
             })?;
+            if policy == PolicyKind::TreePlru && !c.ways.is_power_of_two() {
+                return Err(ModelError::InvalidConfig {
+                    reason: format!(
+                        "{name} cache uses tree-PLRU, which needs a power-of-two way count, \
+                         not {}",
+                        c.ways
+                    ),
+                });
+            }
+        }
+        if self.tlb_entries != 0 && !self.tlb_entries.is_power_of_two() {
+            return Err(ModelError::InvalidConfig {
+                reason: format!(
+                    "tlb_entries must be 0 or a power of two, not {}",
+                    self.tlb_entries
+                ),
+            });
         }
         Ok(())
     }
@@ -277,6 +295,39 @@ mod tests {
         let mut cfg = MachineConfig::default();
         cfg.l1.sets = 3;
         assert!(cfg.validate().is_err());
+
+        // Tree-PLRU needs a power-of-two way count; the error names the
+        // cache and machine construction fails cleanly instead of panicking.
+        let mut cfg = MachineConfig::default();
+        cfg.mee_cache.ways = 6;
+        match cfg.validate() {
+            Err(ModelError::InvalidConfig { reason }) => {
+                assert!(reason.contains("mee_cache"), "{reason}")
+            }
+            other => panic!("6-way tree-PLRU MEE cache accepted: {other:?}"),
+        }
+        assert!(crate::Machine::new(cfg).is_err());
+        let mut cfg = MachineConfig::default();
+        cfg.llc.ways = 12;
+        assert!(cfg.validate().is_err());
+        cfg.llc_policy = PolicyKind::TrueLru;
+        cfg.validate().unwrap();
+
+        // The translation memo indexes by mask.
+        let cfg = MachineConfig {
+            tlb_entries: 500,
+            ..MachineConfig::default()
+        };
+        assert!(cfg.validate().is_err());
+        assert!(crate::Machine::new(cfg).is_err());
+        for tlb_entries in [0, 1, 512] {
+            MachineConfig {
+                tlb_entries,
+                ..MachineConfig::default()
+            }
+            .validate()
+            .unwrap();
+        }
     }
 
     #[test]

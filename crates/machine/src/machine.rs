@@ -442,7 +442,9 @@ impl Machine {
         }
         let vpn = va.vpn().raw();
         let pid = proc.index() as u64;
-        let slot = ((vpn ^ pid.wrapping_mul(0x9e37_79b9_7f4a_7c15)) % self.tlb.len() as u64)
+        // `validate` keeps the length a power of two, so the mask is the
+        // remainder without a hardware divide.
+        let slot = ((vpn ^ pid.wrapping_mul(0x9e37_79b9_7f4a_7c15)) & (self.tlb.len() as u64 - 1))
             as usize;
         let e = self.tlb[slot];
         if e.stamp == self.pt_generation && e.vpn == vpn && u64::from(e.proc) == pid {

@@ -1,9 +1,19 @@
 //! The functional integrity tree: counters, tags, verification.
+//!
+//! Tree state is held in dense records in which all-zero means pristine,
+//! with a one-bit-per-entry verification memo; `DESIGN.md` § "Integrity-tree
+//! storage and the verification memo" gives the exactness and invalidation
+//! arguments.
 
-use mee_types::{FxHashMap, LineAddr, ModelError, TREE_ARITY};
+use mee_types::{LineAddr, ModelError, TREE_ARITY};
 
 use crate::geometry::{TreeGeometry, TreeLevel};
 use crate::mac::MacTag;
+
+/// Record fields: a data line is `[CTR, TAG, DIGEST]`, a node `[CTR, TAG]`.
+const CTR: usize = 0;
+const TAG: usize = 1;
+const DIGEST: usize = 2;
 
 /// A functional SGX-style counter tree over a protected data region.
 ///
@@ -15,59 +25,76 @@ use crate::mac::MacTag;
 /// Data contents are modeled as 64-bit digests (the simulator tracks *where*
 /// data is and *whether it verifies*, not full byte contents).
 ///
-/// Tag storage is **lazy**: a fresh tree's half-million tags are all
-/// deterministic functions of the all-zero initial state, so they are not
-/// materialized at construction. An absent map entry *is* the pristine tag;
-/// it only becomes an explicit entry when a write (or a replayed snapshot)
-/// re-tags that line/node. Verification of an absent entry short-circuits to
-/// "is the covered state still all-zero?", falling back to comparing the
-/// recomputed pristine MAC on the rare tampered path — bit-identical to
-/// storing every tag eagerly, at none of the construction cost.
+/// State lives in dense zero-initialised records: `[counter, PD_Tag ^
+/// pristine PD_Tag, digest]` per data line and `[counter, MAC ^ pristine
+/// MAC]` per node and level, where a *pristine* tag is the one the all-zero
+/// initial state calls for. An all-zero record is exactly a fresh line or
+/// node, so construction computes no tags, and pages of records that no
+/// write or tamper reaches stay the allocator's untouched zero pages.
+///
+/// Verification is memoised by one bit per data line and per node, set when
+/// the stored tag matched a recomputation (failures are never memoised). A
+/// write changes the tag inputs of exactly its own path — data line,
+/// version, L0, L1, L2 — so it clears those five bits; tampering and replay
+/// clear every bit.
 #[derive(Debug, Clone)]
 pub struct IntegrityTree {
     geo: TreeGeometry,
     key: u64,
-    /// Digest per data line, sparse; unwritten lines read as 0.
-    digests: FxHashMap<u64, u64>,
-    /// PD_Tag per data line, sparse; absent = pristine tag.
-    pd_tags: FxHashMap<u64, MacTag>,
-    /// Freshness counter per data line (contents of version lines).
-    ctr_data: Vec<u64>,
-    /// Counter per version line (contents of L0 lines).
-    ctr_version: Vec<u64>,
-    /// Counter per L0 line (contents of L1 lines).
-    ctr_l0: Vec<u64>,
-    /// Counter per L1 line (contents of L2 lines).
-    ctr_l1: Vec<u64>,
-    /// Counter per L2 line (on-die root SRAM — tamper-proof by assumption).
-    ctr_l2: Vec<u64>,
-    /// Embedded MAC per node line, per level, sparse; absent = pristine MAC.
-    mac_version: FxHashMap<u64, MacTag>,
-    mac_l0: FxHashMap<u64, MacTag>,
-    mac_l1: FxHashMap<u64, MacTag>,
-    mac_l2: FxHashMap<u64, MacTag>,
+    /// Per data line; the counter is the line's slot in its version line.
+    lines: Vec<[u64; 3]>,
+    /// Per node, per level (Version, L0, L1, L2); the counter is the node's
+    /// slot one level up — for L2 the on-die root, tamper-proof by
+    /// assumption.
+    nodes: [Vec<[u64; 2]>; 4],
     reads: u64,
     writes: u64,
-    /// Mutation generation: bumped by every state change (write, tamper,
-    /// replay). Verification results are memoized against it.
-    generation: u64,
-    /// Generation at which each data line's `PD_Tag` last verified
-    /// (`0` = never). A stamp equal to [`Self::generation`] proves the line
-    /// verified against the *current* state, so the MAC recomputation can
-    /// be skipped — verification is pure, so this is observationally
-    /// identical and saves the dominant per-read host cost.
-    verified_pd: Vec<u64>,
-    /// Same memo per node, per level (Version, L0, L1, L2).
-    verified_node: [Vec<u64>; 4],
+    verified_lines: Bits,
+    verified_nodes: [Bits; 4],
+}
+
+/// A fixed-size bitset: the verification memo of one level.
+#[derive(Debug, Clone)]
+struct Bits(Vec<u64>);
+
+impl Bits {
+    fn new(len: usize) -> Self {
+        Bits(vec![0; len.div_ceil(64)])
+    }
+
+    fn get(&self, i: usize) -> bool {
+        self.0[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    fn set(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    fn clear(&mut self, i: usize) {
+        self.0[i / 64] &= !(1 << (i % 64));
+    }
 }
 
 /// Folds child counters into a MAC payload word.
 fn fold_payload<I: IntoIterator<Item = u64>>(words: I) -> u64 {
-    words
-        .into_iter()
-        .fold(0xabcd_ef01_2345_6789u64, |acc, w| {
-            acc.rotate_left(7) ^ w.wrapping_mul(0x2545_f491_4f6c_dd1d)
-        })
+    words.into_iter().fold(0xabcd_ef01_2345_6789u64, |acc, w| {
+        acc.rotate_left(7) ^ w.wrapping_mul(0x2545_f491_4f6c_dd1d)
+    })
+}
+
+/// Copies the counters of up to [`TREE_ARITY`] records from `start` into
+/// `out` and returns how many there were (the last node of a level may
+/// have fewer children).
+fn gather_counters<const N: usize>(
+    records: &[[u64; N]],
+    start: usize,
+    out: &mut [u64; TREE_ARITY],
+) -> usize {
+    let children = &records[start..(start + TREE_ARITY).min(records.len())];
+    for (slot, record) in out.iter_mut().zip(children) {
+        *slot = record[CTR];
+    }
+    children.len()
 }
 
 impl IntegrityTree {
@@ -75,36 +102,25 @@ impl IntegrityTree {
     /// by `key`.
     pub fn new(geo: TreeGeometry, key: u64) -> Self {
         let data_lines = geo.data_lines() as usize;
-        let v = geo.lines_at(TreeLevel::Version) as usize;
-        let l0 = geo.lines_at(TreeLevel::L0) as usize;
-        let l1 = geo.lines_at(TreeLevel::L1) as usize;
-        let l2 = geo.lines_at(TreeLevel::L2) as usize;
+        let node_counts = TreeLevel::ALL.map(|level| geo.lines_at(level) as usize);
         IntegrityTree {
             geo,
             key,
-            digests: FxHashMap::default(),
-            pd_tags: FxHashMap::default(),
-            ctr_data: vec![0; data_lines],
-            ctr_version: vec![0; v],
-            ctr_l0: vec![0; l0],
-            ctr_l1: vec![0; l1],
-            ctr_l2: vec![0; l2],
-            mac_version: FxHashMap::default(),
-            mac_l0: FxHashMap::default(),
-            mac_l1: FxHashMap::default(),
-            mac_l2: FxHashMap::default(),
+            lines: vec![[0; 3]; data_lines],
+            nodes: node_counts.map(|n| vec![[0; 2]; n]),
             reads: 0,
             writes: 0,
-            generation: 1,
-            verified_pd: vec![0; data_lines],
-            verified_node: [vec![0; v], vec![0; l0], vec![0; l1], vec![0; l2]],
+            verified_lines: Bits::new(data_lines),
+            verified_nodes: node_counts.map(Bits::new),
         }
     }
 
-    /// Invalidates every memoized verification result. Every mutation path
-    /// must call this before returning.
-    fn touch(&mut self) {
-        self.generation += 1;
+    /// Forgets every memoised verification. Tampering and replay, which
+    /// may break any tag, call this.
+    fn invalidate_all(&mut self) {
+        for bits in std::iter::once(&mut self.verified_lines).chain(&mut self.verified_nodes) {
+            bits.0.fill(0);
+        }
     }
 
     /// The geometry of this tree.
@@ -131,28 +147,26 @@ impl IntegrityTree {
     /// Returns [`ModelError::BadPhysAddr`] if the line is not protected data.
     pub fn write(&mut self, data_line: LineAddr, digest: u64) -> Result<(), ModelError> {
         self.check_covered(data_line)?;
-        self.touch();
         self.writes += 1;
-        let idx = self.geo.data_line_index(data_line);
-        let p = self.geo.walk_path(data_line);
+        let idx = self.geo.data_line_index(data_line) as usize;
+        let path = self.path_nodes(data_line);
 
-        self.ctr_data[idx as usize] = self.ctr_data[idx as usize].wrapping_add(1);
-        self.ctr_version[p.version as usize] = self.ctr_version[p.version as usize].wrapping_add(1);
-        self.ctr_l0[p.l0 as usize] = self.ctr_l0[p.l0 as usize].wrapping_add(1);
-        self.ctr_l1[p.l1 as usize] = self.ctr_l1[p.l1 as usize].wrapping_add(1);
-        self.ctr_l2[p.l2 as usize] = self.ctr_l2[p.l2 as usize].wrapping_add(1);
+        let line = &mut self.lines[idx];
+        line[CTR] = line[CTR].wrapping_add(1);
+        line[DIGEST] = digest;
+        for (records, &node) in self.nodes.iter_mut().zip(&path) {
+            records[node][CTR] = records[node][CTR].wrapping_add(1);
+        }
 
-        self.digests.insert(idx, digest);
-        let tag = self.pd_tag_for(idx);
-        self.pd_tags.insert(idx, tag);
-        let mac = self.node_mac(TreeLevel::Version, p.version);
-        self.mac_version.insert(p.version, mac);
-        let mac = self.node_mac(TreeLevel::L0, p.l0);
-        self.mac_l0.insert(p.l0, mac);
-        let mac = self.node_mac(TreeLevel::L1, p.l1);
-        self.mac_l1.insert(p.l1, mac);
-        let mac = self.node_mac(TreeLevel::L2, p.l2);
-        self.mac_l2.insert(p.l2, mac);
+        // Re-tag once every counter on the path has moved: a node's MAC
+        // covers its children's counters as well as its own.
+        self.lines[idx][TAG] = self.pd_tag_delta(idx);
+        self.verified_lines.clear(idx);
+        for (level, &node) in TreeLevel::ALL.into_iter().zip(&path) {
+            let l = level.ladder_index();
+            self.nodes[l][node][TAG] = self.node_tag_delta(level, node);
+            self.verified_nodes[l].clear(node);
+        }
         Ok(())
     }
 
@@ -195,8 +209,8 @@ impl IntegrityTree {
         assert!(node_levels <= 4, "at most 4 node levels exist");
         self.check_covered(data_line)?;
         self.reads += 1;
-        let idx = self.geo.data_line_index(data_line);
-        let p = self.geo.walk_path(data_line);
+        let idx = self.geo.data_line_index(data_line) as usize;
+        let path = self.path_nodes(data_line);
 
         let violation = |level: usize| ModelError::IntegrityViolation {
             line: data_line,
@@ -205,66 +219,40 @@ impl IntegrityTree {
         if !self.pd_tag_verifies(idx) {
             return Err(violation(0));
         }
-        let checks: [(TreeLevel, u64, usize); 4] = [
-            (TreeLevel::Version, p.version, 0),
-            (TreeLevel::L0, p.l0, 1),
-            (TreeLevel::L1, p.l1, 2),
-            (TreeLevel::L2, p.l2, 3),
-        ];
-        for &(level, node, report) in checks.iter().take(node_levels) {
+        for (report, (level, &node)) in TreeLevel::ALL
+            .into_iter()
+            .zip(&path)
+            .take(node_levels)
+            .enumerate()
+        {
             if !self.node_mac_verifies(level, node) {
                 return Err(violation(report));
             }
         }
-        Ok(self.digests.get(&idx).copied().unwrap_or(0))
+        Ok(self.lines[idx][DIGEST])
     }
 
     /// Checks the stored `PD_Tag` of a data line against a recomputation.
-    ///
-    /// An absent entry is the tag the fresh tree would have stored
-    /// (digest 0, counter 0): if the current state is still all-zero the
-    /// recomputation trivially matches; otherwise fall back to comparing
-    /// the explicit pristine MAC, which is what the eager store compared.
-    fn pd_tag_verifies(&mut self, idx: u64) -> bool {
-        if self.verified_pd[idx as usize] == self.generation {
+    fn pd_tag_verifies(&mut self, idx: usize) -> bool {
+        if self.verified_lines.get(idx) {
             return true;
         }
-        let ok = match self.pd_tags.get(&idx) {
-            Some(stored) => *stored == self.pd_tag_for(idx),
-            None => {
-                let digest = self.digests.get(&idx).copied().unwrap_or(0);
-                (digest == 0 && self.ctr_data[idx as usize] == 0)
-                    || MacTag::compute(self.key, idx, 0, 0) == self.pd_tag_for(idx)
-            }
-        };
+        let ok = self.pd_tag_delta(idx) == self.lines[idx][TAG];
         if ok {
-            self.verified_pd[idx as usize] = self.generation;
+            self.verified_lines.set(idx);
         }
         ok
     }
 
-    /// Checks a stored node MAC against a recomputation, treating an absent
-    /// entry as the pristine (all-zero-state) MAC — see [`Self::pd_tag_verifies`].
-    fn node_mac_verifies(&mut self, level: TreeLevel, node: u64) -> bool {
-        if self.verified_node[level.ladder_index()][node as usize] == self.generation {
+    /// Checks a stored node MAC against a recomputation.
+    fn node_mac_verifies(&mut self, level: TreeLevel, node: usize) -> bool {
+        let l = level.ladder_index();
+        if self.verified_nodes[l].get(node) {
             return true;
         }
-        let stored = match level {
-            TreeLevel::Version => self.mac_version.get(&node),
-            TreeLevel::L0 => self.mac_l0.get(&node),
-            TreeLevel::L1 => self.mac_l1.get(&node),
-            TreeLevel::L2 => self.mac_l2.get(&node),
-        };
-        let ok = match stored {
-            Some(stored) => *stored == self.node_mac(level, node),
-            None => {
-                let (children, freshness) = self.node_inputs(level, node);
-                (freshness == 0 && children.iter().all(|&c| c == 0))
-                    || self.pristine_node_mac(level, node) == self.node_mac(level, node)
-            }
-        };
+        let ok = self.node_tag_delta(level, node) == self.nodes[l][node][TAG];
         if ok {
-            self.verified_node[level.ladder_index()][node as usize] = self.generation;
+            self.verified_nodes[l].set(node);
         }
         ok
     }
@@ -277,10 +265,9 @@ impl IntegrityTree {
     /// Returns [`ModelError::BadPhysAddr`] if the line is not protected data.
     pub fn tamper_digest(&mut self, data_line: LineAddr) -> Result<(), ModelError> {
         self.check_covered(data_line)?;
-        self.touch();
-        let idx = self.geo.data_line_index(data_line);
-        let old = self.digests.get(&idx).copied().unwrap_or(0);
-        self.digests.insert(idx, old ^ 0x1);
+        self.invalidate_all();
+        let idx = self.geo.data_line_index(data_line) as usize;
+        self.lines[idx][DIGEST] ^= 0x1;
         Ok(())
     }
 
@@ -298,15 +285,13 @@ impl IntegrityTree {
              ({} lines)",
             self.geo.lines_at(level)
         );
-        self.touch();
+        self.invalidate_all();
+        // A node's line holds its children's counters: a version line the
+        // per-data-line ones, an L0 line the version ones, and so on.
+        let child = node as usize * TREE_ARITY;
         match level {
-            TreeLevel::Version => {
-                // Counters *in* a version line are the per-data-line ones.
-                self.ctr_data[(node * TREE_ARITY as u64) as usize] ^= 1;
-            }
-            TreeLevel::L0 => self.ctr_version[(node * TREE_ARITY as u64) as usize] ^= 1,
-            TreeLevel::L1 => self.ctr_l0[(node * TREE_ARITY as u64) as usize] ^= 1,
-            TreeLevel::L2 => self.ctr_l1[(node * TREE_ARITY as u64) as usize] ^= 1,
+            TreeLevel::Version => self.lines[child][CTR] ^= 1,
+            _ => self.nodes[level.ladder_index() - 1][child][CTR] ^= 1,
         }
     }
 
@@ -324,16 +309,13 @@ impl IntegrityTree {
         snapshot: (u64, MacTag, u64),
     ) -> Result<(), ModelError> {
         self.check_covered(data_line)?;
-        self.touch();
+        self.invalidate_all();
         let idx = self.geo.data_line_index(data_line) as usize;
         let (digest, tag, ctr) = snapshot;
-        self.digests.insert(idx as u64, digest);
-        self.pd_tags.insert(idx as u64, tag);
-        self.ctr_data[idx] = ctr;
-        // Recompute the version-line MAC as the attacker would have captured
-        // it — but its freshness input (the L0 counter) has moved on, so
-        // verification still fails above. We restore the *old* MAC verbatim:
-        // the attacker replays ciphertext, not recomputed tags.
+        // The attacker replays ciphertext, not recomputed tags: the
+        // version-line MAC above still covers the newer data counter, so
+        // verification fails there.
+        self.lines[idx] = [ctr, tag.0 ^ self.pristine_pd_tag(idx).0, digest];
         Ok(())
     }
 
@@ -346,14 +328,8 @@ impl IntegrityTree {
     pub fn snapshot(&self, data_line: LineAddr) -> Result<(u64, MacTag, u64), ModelError> {
         self.check_covered(data_line)?;
         let idx = self.geo.data_line_index(data_line) as usize;
-        Ok((
-            self.digests.get(&(idx as u64)).copied().unwrap_or(0),
-            self.pd_tags
-                .get(&(idx as u64))
-                .copied()
-                .unwrap_or_else(|| MacTag::compute(self.key, idx as u64, 0, 0)),
-            self.ctr_data[idx],
-        ))
+        let [ctr, tag, digest] = self.lines[idx];
+        Ok((digest, MacTag(tag ^ self.pristine_pd_tag(idx).0), ctr))
     }
 
     /// Returns the stored digest of a data line *without* verification or
@@ -365,8 +341,8 @@ impl IntegrityTree {
     /// Returns [`ModelError::BadPhysAddr`] if the line is not protected data.
     pub fn peek(&self, data_line: LineAddr) -> Result<u64, ModelError> {
         self.check_covered(data_line)?;
-        let idx = self.geo.data_line_index(data_line);
-        Ok(self.digests.get(&idx).copied().unwrap_or(0))
+        let idx = self.geo.data_line_index(data_line) as usize;
+        Ok(self.lines[idx][DIGEST])
     }
 
     fn check_covered(&self, data_line: LineAddr) -> Result<(), ModelError> {
@@ -379,44 +355,53 @@ impl IntegrityTree {
         }
     }
 
-    /// PD_Tag of a data line: MAC over (address, digest) fresh under the
-    /// line's version counter.
-    fn pd_tag_for(&self, idx: u64) -> MacTag {
-        let digest = self.digests.get(&idx).copied().unwrap_or(0);
-        MacTag::compute(self.key, idx, digest, self.ctr_data[idx as usize])
+    /// Node indices of a data line's path: version, L0, L1, L2.
+    fn path_nodes(&self, data_line: LineAddr) -> [usize; 4] {
+        let p = self.geo.walk_path(data_line);
+        [p.version, p.l0, p.l1, p.l2].map(|node| node as usize)
     }
 
-    /// The child-counter slice and freshness counter feeding node `node`'s
-    /// MAC at `level`.
-    fn node_inputs(&self, level: TreeLevel, node: u64) -> (&[u64], u64) {
-        let arity = TREE_ARITY as u64;
-        let (children, freshness): (&[u64], u64) = match level {
-            TreeLevel::Version => (&self.ctr_data, self.ctr_version[node as usize]),
-            TreeLevel::L0 => (&self.ctr_version, self.ctr_l0[node as usize]),
-            TreeLevel::L1 => (&self.ctr_l0, self.ctr_l1[node as usize]),
-            TreeLevel::L2 => (&self.ctr_l1, self.ctr_l2[node as usize]),
+    /// The `PD_Tag` of a fresh line: MAC over (address, digest 0) under
+    /// counter 0.
+    fn pristine_pd_tag(&self, idx: usize) -> MacTag {
+        MacTag::compute(self.key, idx as u64, 0, 0)
+    }
+
+    /// The `PD_Tag` the line's current digest and counter call for — a MAC
+    /// over (address, digest) fresh under the line's version counter — in
+    /// stored form (XOR the pristine tag). An all-zero state is the
+    /// pristine state, whose stored form is 0 without computing a MAC.
+    fn pd_tag_delta(&self, idx: usize) -> u64 {
+        let [ctr, _, digest] = self.lines[idx];
+        if ctr == 0 && digest == 0 {
+            return 0;
+        }
+        MacTag::compute(self.key, idx as u64, digest, ctr).0 ^ self.pristine_pd_tag(idx).0
+    }
+
+    /// The MAC node `node` at `level` calls for — over its child counters,
+    /// fresh under its own counter held one level up — in stored form (XOR
+    /// the MAC of all-zero counters), 0 for an all-zero state.
+    fn node_tag_delta(&self, level: TreeLevel, node: usize) -> u64 {
+        let l = level.ladder_index();
+        let mut children = [0; TREE_ARITY];
+        let n = match level {
+            TreeLevel::Version => gather_counters(&self.lines, node * TREE_ARITY, &mut children),
+            _ => gather_counters(&self.nodes[l - 1], node * TREE_ARITY, &mut children),
         };
-        let start = (node * arity) as usize;
-        let end = (start + arity as usize).min(children.len());
-        (&children[start..end], freshness)
-    }
-
-    /// Embedded MAC of node `node` at `level`: MAC over the node's child
-    /// counters, fresh under the node's own counter held one level up.
-    fn node_mac(&self, level: TreeLevel, node: u64) -> MacTag {
-        let (children, freshness) = self.node_inputs(level, node);
-        let payload = fold_payload(children.iter().copied());
-        let tweak = self.geo.level_line(level, node).raw();
-        MacTag::compute(self.key, tweak, payload, freshness)
-    }
-
-    /// The MAC a fresh tree would have stored for node `node` at `level`:
-    /// all child counters and the freshness counter zero.
-    fn pristine_node_mac(&self, level: TreeLevel, node: u64) -> MacTag {
-        let (children, _) = self.node_inputs(level, node);
-        let payload = fold_payload(std::iter::repeat_n(0, children.len()));
-        let tweak = self.geo.level_line(level, node).raw();
-        MacTag::compute(self.key, tweak, payload, 0)
+        let freshness = self.nodes[l][node][CTR];
+        if freshness == 0 && children == [0; TREE_ARITY] {
+            return 0;
+        }
+        let tweak = self.geo.level_line(level, node as u64).raw();
+        let mac = MacTag::compute(
+            self.key,
+            tweak,
+            fold_payload(children[..n].iter().copied()),
+            freshness,
+        );
+        let pristine = MacTag::compute(self.key, tweak, fold_payload(std::iter::repeat_n(0, n)), 0);
+        mac.0 ^ pristine.0
     }
 }
 
@@ -435,7 +420,6 @@ mod tests {
     fn data_line(t: &IntegrityTree, index: u64) -> LineAddr {
         LineAddr::new(t.geometry().data_region().base().line().raw() + index)
     }
-
     #[test]
     fn fresh_tree_verifies_everywhere() {
         let mut t = tree();
@@ -496,9 +480,9 @@ mod tests {
 
     #[test]
     fn tamper_on_never_written_line_detected() {
-        // Exercises the lazy-tag slow path: the victim line has no explicit
-        // tag entry (never written), so detection must come from comparing
-        // against the pristine MAC.
+        // The victim line was never written, so its stored tag is the
+        // pristine one (a zero tag field): detection must come from the
+        // recomputation, not from the all-zero shortcut.
         let mut t = tree();
         let line = data_line(&t, 11);
         t.tamper_digest(line).unwrap();
@@ -506,7 +490,7 @@ mod tests {
             Err(ModelError::IntegrityViolation { level, .. }) => assert_eq!(level, 0),
             other => panic!("tamper on pristine line not detected: {other:?}"),
         }
-        // A pristine counter tamper is likewise caught without any stored tag.
+        // A counter tamper under pristine tags is likewise caught.
         let mut t = tree();
         t.tamper_counter(TreeLevel::L0, 0);
         assert!(t.read_verified(data_line(&t, 0)).is_err());
@@ -580,5 +564,235 @@ mod tests {
                 assert_eq!(t.read_verified(line).unwrap(), val);
             }
         });
+    }
+
+    #[test]
+    fn tamper_survives_an_unrelated_write() {
+        // The write clears only its own path's memo bits; the tampered
+        // line's bit was cleared by the tamper and must stay cleared.
+        let mut t = tree();
+        let victim = data_line(&t, 5);
+        let other = data_line(&t, t.geometry().data_lines() - 1);
+        assert_eq!(t.read_verified(victim).unwrap(), 0);
+        t.tamper_digest(victim).unwrap();
+        t.write(other, 9).unwrap();
+        match t.read_verified(victim) {
+            Err(ModelError::IntegrityViolation { level, .. }) => assert_eq!(level, 0),
+            other => panic!("tamper forgotten after an unrelated write: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn verified_line_survives_a_write_on_its_l0_spine() {
+        // Lines 0 and 8 sit in different version blocks under one L0 node:
+        // the second write re-tags that L0 node, and the first line's
+        // memoised version node must still verify beneath it.
+        let mut t = tree();
+        let first = data_line(&t, 0);
+        let second = data_line(&t, 8);
+        t.write(first, 0xaaa).unwrap();
+        assert_eq!(t.read_verified(first).unwrap(), 0xaaa);
+        t.write(second, 0xbbb).unwrap();
+        assert_eq!(t.read_verified(first).unwrap(), 0xaaa);
+        assert_eq!(t.read_verified(second).unwrap(), 0xbbb);
+    }
+
+    /// The tree's semantics without the compact storage or the memo: every
+    /// tag stored explicitly from construction on, every checked tag
+    /// recomputed on every read.
+    struct Reference {
+        geo: TreeGeometry,
+        key: u64,
+        digests: Vec<u64>,
+        pd_tags: Vec<MacTag>,
+        /// Counters of the data lines, then of each level's nodes.
+        ctrs: [Vec<u64>; 5],
+        macs: [Vec<MacTag>; 4],
+        reads: u64,
+        writes: u64,
+    }
+
+    impl Reference {
+        fn new(geo: TreeGeometry, key: u64) -> Self {
+            let data = geo.data_lines() as usize;
+            let [v, l0, l1, l2] = TreeLevel::ALL.map(|level| geo.lines_at(level) as usize);
+            let mut r = Reference {
+                geo,
+                key,
+                digests: vec![0; data],
+                pd_tags: vec![MacTag(0); data],
+                ctrs: [
+                    vec![0; data],
+                    vec![0; v],
+                    vec![0; l0],
+                    vec![0; l1],
+                    vec![0; l2],
+                ],
+                macs: [v, l0, l1, l2].map(|n| vec![MacTag(0); n]),
+                reads: 0,
+                writes: 0,
+            };
+            for idx in 0..data {
+                r.pd_tags[idx] = r.pd_tag(idx);
+            }
+            for level in TreeLevel::ALL {
+                for node in 0..r.macs[level.ladder_index()].len() {
+                    r.macs[level.ladder_index()][node] = r.node_mac(level, node);
+                }
+            }
+            r
+        }
+
+        fn pd_tag(&self, idx: usize) -> MacTag {
+            MacTag::compute(self.key, idx as u64, self.digests[idx], self.ctrs[0][idx])
+        }
+
+        fn node_mac(&self, level: TreeLevel, node: usize) -> MacTag {
+            let l = level.ladder_index();
+            let children = &self.ctrs[l];
+            let start = node * TREE_ARITY;
+            let end = (start + TREE_ARITY).min(children.len());
+            let payload = fold_payload(children[start..end].iter().copied());
+            let tweak = self.geo.level_line(level, node as u64).raw();
+            MacTag::compute(self.key, tweak, payload, self.ctrs[l + 1][node])
+        }
+
+        fn locate(&self, line: LineAddr) -> (usize, [usize; 4]) {
+            let p = self.geo.walk_path(line);
+            let path = [p.version, p.l0, p.l1, p.l2].map(|n| n as usize);
+            (self.geo.data_line_index(line) as usize, path)
+        }
+
+        fn write(&mut self, line: LineAddr, digest: u64) {
+            self.writes += 1;
+            let (idx, path) = self.locate(line);
+            self.ctrs[0][idx] += 1;
+            for (l, &node) in path.iter().enumerate() {
+                self.ctrs[l + 1][node] += 1;
+            }
+            self.digests[idx] = digest;
+            self.pd_tags[idx] = self.pd_tag(idx);
+            for (level, &node) in TreeLevel::ALL.into_iter().zip(&path) {
+                self.macs[level.ladder_index()][node] = self.node_mac(level, node);
+            }
+        }
+
+        fn read_partial(&mut self, line: LineAddr, node_levels: usize) -> Result<u64, ModelError> {
+            self.reads += 1;
+            let (idx, path) = self.locate(line);
+            let violation = |level| Err(ModelError::IntegrityViolation { line, level });
+            if self.pd_tags[idx] != self.pd_tag(idx) {
+                return violation(0);
+            }
+            for (level, &node) in TreeLevel::ALL.into_iter().zip(&path).take(node_levels) {
+                if self.macs[level.ladder_index()][node] != self.node_mac(level, node) {
+                    return violation(level.ladder_index());
+                }
+            }
+            Ok(self.digests[idx])
+        }
+
+        fn tamper_counter(&mut self, level: TreeLevel, node: usize) {
+            self.ctrs[level.ladder_index()][node * TREE_ARITY] ^= 1;
+        }
+
+        fn snapshot(&self, line: LineAddr) -> (u64, MacTag, u64) {
+            let (idx, _) = self.locate(line);
+            (self.digests[idx], self.pd_tags[idx], self.ctrs[0][idx])
+        }
+
+        fn replay(&mut self, line: LineAddr, (digest, tag, ctr): (u64, MacTag, u64)) {
+            let (idx, _) = self.locate(line);
+            self.digests[idx] = digest;
+            self.pd_tags[idx] = tag;
+            self.ctrs[0][idx] = ctr;
+        }
+    }
+
+    /// A small geometry (960 lines; 120 version, 15 L0, 2 L1 and 1 L2
+    /// node) whose last L1 and L2 nodes have fewer than eight children.
+    fn small_pair() -> (IntegrityTree, Reference) {
+        let layout = PhysLayout::new(1 << 20, 80 << 10).unwrap();
+        let geo = TreeGeometry::new(layout.prm_data(), layout.prm_tree()).unwrap();
+        (IntegrityTree::new(geo, 0x5eed), Reference::new(geo, 0x5eed))
+    }
+
+    /// Seeded random sequences of every operation drive the tree and the
+    /// eager reference side by side: every result, every reported
+    /// violation level and the read/write counts must agree at every step,
+    /// and every line must read the same at the end.
+    #[test]
+    fn matches_eager_reference_model() {
+        check(
+            "matches_eager_reference_model",
+            &PropConfig::from_env(48),
+            |rng| {
+                let (mut t, mut r) = small_pair();
+                let lines = t.geometry().data_lines();
+                let mut snapshots: Vec<(u64, MacTag, u64)> = Vec::new();
+                let ops = rng.random_range(1usize..120);
+                for step in 0..ops {
+                    // Half the operations stay under two L0 nodes, so writes,
+                    // tampers and memoised reads keep meeting on shared paths.
+                    let span = if rng.random_range(0u32..2) == 0 {
+                        128
+                    } else {
+                        lines
+                    };
+                    let line = data_line(&t, rng.random_range(0..span));
+                    match rng.random_range(0u32..16) {
+                        0..=4 => {
+                            let value = rng.random_range(0u64..4);
+                            t.write(line, value).unwrap();
+                            r.write(line, value);
+                        }
+                        5..=8 => {
+                            let levels = rng.random_range(0usize..=4);
+                            let got = t.read_partial(line, levels);
+                            assert_eq!(
+                                got,
+                                r.read_partial(line, levels),
+                                "step {step}: read_partial({levels})"
+                            );
+                        }
+                        9 | 10 => {
+                            let got = t.read_verified(line);
+                            assert_eq!(got, r.read_partial(line, 4), "step {step}: read_verified");
+                        }
+                        11 => {
+                            t.tamper_digest(line).unwrap();
+                            let (idx, _) = r.locate(line);
+                            r.digests[idx] ^= 1;
+                        }
+                        12 => {
+                            let level = TreeLevel::ALL[rng.random_range(0usize..4)];
+                            let node = rng.random_range(0..t.geometry().lines_at(level));
+                            t.tamper_counter(level, node);
+                            r.tamper_counter(level, node as usize);
+                        }
+                        13 => {
+                            let snap = t.snapshot(line).unwrap();
+                            assert_eq!(snap, r.snapshot(line), "step {step}: snapshot");
+                            snapshots.push(snap);
+                        }
+                        14 if !snapshots.is_empty() => {
+                            let snap = snapshots[rng.random_range(0..snapshots.len())];
+                            t.replay(line, snap).unwrap();
+                            r.replay(line, snap);
+                        }
+                        _ => assert_eq!(t.peek(line).unwrap(), r.digests[r.locate(line).0]),
+                    }
+                    assert_eq!((t.reads(), t.writes()), (r.reads, r.writes), "step {step}");
+                }
+                for i in 0..lines {
+                    let line = data_line(&t, i);
+                    assert_eq!(
+                        t.read_verified(line),
+                        r.read_partial(line, 4),
+                        "final sweep, line {i}"
+                    );
+                }
+            },
+        );
     }
 }
