@@ -20,9 +20,9 @@ done
 # The invariant registry: exhaustive model-checking-lite tier at the full
 # budget, then the fixed-seed property tier. Any counterexample prints a
 # one-line replay recipe and exits 1, failing CI here. Both tiers run on
-# the event-driven scheduler core (the MachineConfig default); the
-# cycle-stepped baseline is held bit-identical to it by the differential
-# tier (tests/engine_equivalence.rs, part of the workspace tests above).
+# the one production scheduler, the event-queue core; the differential
+# tier (tests/engine_equivalence.rs, part of the workspace tests above)
+# holds it bit-identical to a min-clock reference scan kept in that file.
 echo "== spec: exhaustive tier"
 cargo run --release --offline -p mee-spec -- --tier exhaustive --budget full
 echo "== spec: property tier"

@@ -39,7 +39,7 @@ fn main() {
     let args = HarnessArgs::from_env();
     let capacity = match args.trace_capacity() {
         Some(n) => n,
-        None if args.trace.is_none() && mee_obs::env_capacity().is_none() => {
+        None if args.trace.is_none() && mee_bench::env_capacity().is_none() => {
             mee_obs::DEFAULT_RING_CAPACITY
         }
         None => {

@@ -26,6 +26,21 @@ pub mod output;
 pub mod resilience;
 pub mod sweep;
 
+/// The environment knob selecting the trace ring capacity (`0` disables
+/// tracing; parsed strictly, a malformed value panics). Only the binaries
+/// read it: the simulator crates take a capacity as an argument.
+pub const TRACE_ENV: &str = "MEE_TRACE";
+
+/// Reads [`TRACE_ENV`]: `None` when unset, `Some(0)` to force tracing
+/// off, `Some(n)` for an `n`-event ring.
+///
+/// # Panics
+///
+/// Panics when the variable is set but not an unsigned integer.
+pub fn env_capacity() -> Option<usize> {
+    mee_rng::env_knob::unsigned_from_env::<usize>(TRACE_ENV)
+}
+
 /// Parsed command-line arguments for a `mee-bench` binary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HarnessArgs {
@@ -187,7 +202,7 @@ impl HarnessArgs {
     pub fn trace_capacity(&self) -> Option<usize> {
         let raw = match self.trace {
             Some(n) => usize::try_from(n).expect("trace capacity fits usize"),
-            None => mee_obs::env_capacity()?,
+            None => env_capacity()?,
         };
         (raw > 0).then_some(raw)
     }
@@ -256,6 +271,11 @@ mod tests {
         let b = HarnessArgs::parse(vec!["--trace".into(), "0".into()]).unwrap();
         assert_eq!(b.trace, Some(0));
         assert_eq!(b.trace_capacity(), None, "--trace 0 forces tracing off");
+    }
+
+    #[test]
+    fn env_capacity_is_unset_by_default() {
+        assert_eq!(env_capacity(), None);
     }
 
     #[test]

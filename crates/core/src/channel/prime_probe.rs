@@ -15,9 +15,8 @@ use mee_types::{Cycles, ModelError, VirtAddr};
 
 use crate::channel::config::ChannelConfig;
 use crate::channel::message::BitErrors;
-use crate::recon::eviction::find_eviction_set;
+use crate::channel::Session;
 use crate::setup::AttackSetup;
-use crate::threshold::LatencyClassifier;
 
 /// The trojan of the baseline: touches one address per `1` window.
 #[derive(Debug)]
@@ -212,74 +211,18 @@ pub struct PrimeProbeOutcome {
 }
 
 impl PrimeProbeSession {
-    /// Establishes the baseline: the *spy* runs Algorithm 1, then the
-    /// conflicting trojan address is found with the role-swapped handshake.
-    /// The probe threshold is calibrated from quiet sweeps: mean + half the
-    /// versions-hit/miss signal.
+    /// Establishes the baseline with the §5.3 handshake, roles swapped:
+    /// [`Session::establish_directed`] with the *spy* sending runs
+    /// Algorithm 1 on the spy's side and finds the trojan's one conflicting
+    /// address. The probe threshold is then calibrated from quiet sweeps:
+    /// mean + half the versions-hit/miss signal.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Session::establish`](crate::channel::Session::establish).
-    pub fn establish(
-        setup: &mut AttackSetup,
-        cfg: &ChannelConfig,
-    ) -> Result<Self, ModelError> {
-        cfg.validate()?;
-        // Host-time span over the baseline's establishment, recorded at the
-        // end; wall-clock only.
-        let host_start = std::time::Instant::now();
-        let classifier = LatencyClassifier::from_timing(&setup.machine.config().timing);
-
-        // Spy builds the eviction set this time.
-        let candidates = setup.spy.candidates(cfg.trojan_candidates, cfg.agreed_offset);
-        let eviction_set = {
-            let mut cpu = setup.spy_handle();
-            find_eviction_set(&mut cpu, &candidates, &classifier, cfg.setup_reps)?
-                .eviction_set
-        };
-
-        // Trojan finds one conflicting address.
-        let trojan_candidates = setup
-            .trojan
-            .candidates(cfg.spy_candidates, cfg.agreed_offset);
-        let mut target = None;
-        'search: for &candidate in &trojan_candidates {
-            let mut votes = 0usize;
-            for _ in 0..cfg.setup_reps {
-                setup.sync_clocks();
-                {
-                    let mut trojan = setup.trojan_handle();
-                    trojan.read(candidate)?;
-                    trojan.clflush(candidate)?;
-                    trojan.mfence();
-                }
-                setup.sync_clocks();
-                {
-                    let mut spy = setup.spy_handle();
-                    let _ = spy.sweep_read_flush(&eviction_set)?;
-                    spy.mfence();
-                    let _ = spy.sweep_read_flush_rev(&eviction_set)?;
-                    spy.mfence();
-                }
-                setup.sync_clocks();
-                let lat = {
-                    let mut trojan = setup.trojan_handle();
-                    let lat = trojan.read(candidate)?;
-                    trojan.clflush(candidate)?;
-                    lat
-                };
-                if classifier.is_versions_miss(lat) {
-                    votes += 1;
-                }
-            }
-            if votes * 2 > cfg.setup_reps {
-                target = Some(candidate);
-                break 'search;
-            }
-        }
-        let target = target.ok_or_else(|| ModelError::InvalidConfig {
-            reason: "no conflicting trojan address found for the baseline".into(),
-        })?;
+    /// Same conditions as [`Session::establish`].
+    pub fn establish(setup: &mut AttackSetup, cfg: &ChannelConfig) -> Result<Self, ModelError> {
+        let handshake = Session::establish_directed(setup, setup.spy, setup.trojan, cfg)?;
+        let (eviction_set, target) = (handshake.eviction_set, handshake.monitor);
 
         // Calibrate the probe threshold: quiet all-hit sweeps.
         let mut quiet_total = 0u64;
@@ -298,11 +241,6 @@ impl PrimeProbeSession {
         let t = &setup.machine.config().timing;
         let signal = t.protected_hit_latency(1) - t.protected_hit_latency(0);
         let probe_threshold = Cycles::new(quiet_mean + signal.raw() / 2);
-        setup
-            .machine
-            .obs_mut()
-            .host
-            .record("establish", host_start.elapsed());
 
         Ok(PrimeProbeSession {
             eviction_set,

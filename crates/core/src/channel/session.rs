@@ -1,6 +1,6 @@
 //! Establishing and running the covert channel.
 
-use mee_machine::{run_actor_refs_hooked, ActorRef, NoopHook, StepHook};
+use mee_machine::{run_actor_refs_hooked, ActorRef, CoreHandle, NoopHook, StepHook};
 use mee_types::{Cycles, ModelError, VirtAddr};
 
 use crate::channel::coding;
@@ -123,15 +123,6 @@ fn max_run(bits: &[bool]) -> usize {
     best
 }
 
-/// Internal helper naming the handle construction for a tenant.
-struct CoreHandleOwner;
-
-impl CoreHandleOwner {
-    fn handle(setup: &mut AttackSetup, tenant: Tenant) -> mee_machine::CoreHandle<'_> {
-        mee_machine::CoreHandle::new(&mut setup.machine, tenant.core, tenant.proc)
-    }
-}
-
 impl Session {
     /// Establishes the channel (paper §5.3):
     ///
@@ -180,7 +171,7 @@ impl Session {
         // 1. The sender builds its eviction set.
         let candidates = sender.candidates(cfg.trojan_candidates, cfg.agreed_offset);
         let eviction = {
-            let mut cpu = CoreHandleOwner::handle(setup, sender);
+            let mut cpu = CoreHandle::new(&mut setup.machine, sender.core, sender.proc);
             find_eviction_set(&mut cpu, &candidates, &classifier, cfg.setup_reps)?
         };
         let eviction_set = eviction.eviction_set;
@@ -198,7 +189,7 @@ impl Session {
                 setup.sync_clocks();
                 // The receiver primes the candidate.
                 {
-                    let mut spy = CoreHandleOwner::handle(setup, receiver);
+                    let mut spy = CoreHandle::new(&mut setup.machine, receiver.core, receiver.proc);
                     spy.read(candidate)?;
                     spy.clflush(candidate)?;
                     spy.mfence();
@@ -206,7 +197,7 @@ impl Session {
                 // The sender sweeps (forward + backward, as for a '1').
                 setup.sync_clocks();
                 {
-                    let mut trojan = CoreHandleOwner::handle(setup, sender);
+                    let mut trojan = CoreHandle::new(&mut setup.machine, sender.core, sender.proc);
                     let _ = trojan.sweep_read_flush(&eviction_set)?;
                     trojan.mfence();
                     let _ = trojan.sweep_read_flush_rev(&eviction_set)?;
@@ -215,7 +206,7 @@ impl Session {
                 // The receiver re-probes: a miss means conflict.
                 setup.sync_clocks();
                 let lat = {
-                    let mut spy = CoreHandleOwner::handle(setup, receiver);
+                    let mut spy = CoreHandle::new(&mut setup.machine, receiver.core, receiver.proc);
                     let lat = spy.read(candidate)?;
                     spy.clflush(candidate)?;
                     lat

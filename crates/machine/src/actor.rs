@@ -14,7 +14,6 @@
 
 use mee_types::{Cycles, ModelError, VirtAddr};
 
-use crate::config::EngineKind;
 use crate::events::EventQueue;
 use crate::machine::{CoreId, Machine, ProcId};
 
@@ -221,26 +220,25 @@ pub trait StepHook {
     /// An error aborts the run and propagates to the caller.
     fn before_step(&mut self, machine: &mut Machine, now: Cycles) -> Result<(), ModelError>;
 
-    /// When the hook next needs to observe the machine. The event-driven
-    /// scheduler skips `before_step` calls the schedule rules out; the
-    /// cycle-stepped scheduler ignores this and calls before every step.
+    /// When the hook next needs to observe the machine. The scheduler
+    /// skips the `before_step` calls the schedule rules out.
     ///
     /// The default, [`HookSchedule::EveryStep`], is always safe. A hook
     /// may only narrow it if `before_step` is a pure no-op outside the
     /// declared times — i.e. before `At(t)` is reached, or always for
-    /// `Idle` — otherwise the two engines diverge. The scheduler
-    /// re-queries after every `before_step` call, so `At` hooks advance
-    /// their own horizon as they fire.
+    /// `Idle` — otherwise the run diverges from one that calls the hook
+    /// before every step. The scheduler re-queries after every
+    /// `before_step` call, so `At` hooks advance their own horizon as they
+    /// fire.
     fn schedule(&self) -> HookSchedule {
         HookSchedule::EveryStep
     }
 }
 
-/// When a [`StepHook`] next needs `before_step` called (only consulted by
-/// the event-driven scheduler).
+/// When a [`StepHook`] next needs `before_step` called.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HookSchedule {
-    /// Call before every actor step (the cycle-stepped contract).
+    /// Call before every actor step (always safe).
     EveryStep,
     /// No effect until global time reaches this cycle: call before the
     /// first step at or after it.
@@ -280,9 +278,10 @@ pub fn run_actor_refs(
 /// Like [`run_actor_refs`] with a [`StepHook`] consulted before every step
 /// — the entry point for deterministic fault injection.
 ///
-/// Dispatches on [`MachineConfig::engine`](crate::MachineConfig): the
-/// event-driven core and the cycle-stepped core produce bit-identical
-/// simulations (`tests/engine_equivalence.rs` is the gate).
+/// The run is the one a scan picking the runnable actor with the smallest
+/// core clock (first binding slot on ties) before every step would
+/// produce; `tests/engine_equivalence.rs` holds it bit-identical to such a
+/// reference scan.
 ///
 /// # Errors
 ///
@@ -308,99 +307,23 @@ pub fn run_actor_refs_hooked(
         seen[idx] = true;
     }
 
-    match machine.config().engine {
-        EngineKind::CycleStepped => run_cycle_stepped(machine, actors, horizon, hook),
-        EngineKind::EventDriven => run_event_driven(machine, actors, horizon, hook),
-    }
+    run_event_driven(machine, actors, horizon, hook)
 }
 
 /// An actor that stops advancing its clock for this many consecutive steps
-/// is declared deadlocked (both engines, same threshold and message).
+/// is declared deadlocked.
 const STUCK_LIMIT: u32 = 100_000;
-
-fn stuck_error(core: CoreId) -> ModelError {
-    ModelError::InvalidConfig {
-        reason: format!("actor on {core} made {STUCK_LIMIT} steps without advancing its clock"),
-    }
-}
-
-/// The original scheduler: scan all runnable actors for the minimum clock
-/// before every step. Kept as the differential baseline for
-/// [`run_event_driven`].
-fn run_cycle_stepped(
-    machine: &mut Machine,
-    actors: &mut [ActorRef<'_>],
-    horizon: Cycles,
-    hook: &mut dyn StepHook,
-) -> Result<(), ModelError> {
-    let mut done = vec![false; actors.len()];
-    let mut stuck_count = vec![0u32; actors.len()];
-
-    // Host-time profiling of the step loop: wall-clock only, recorded on
-    // exit — it cannot influence the simulated interleaving.
-    let loop_start = std::time::Instant::now();
-    let mut steps: u64 = 0;
-    let finish = |machine: &mut Machine, steps: u64| {
-        machine
-            .obs_mut()
-            .host
-            .record_n("actor_step_loop", steps, loop_start.elapsed());
-    };
-
-    loop {
-        // Pick the runnable actor with the smallest core clock.
-        let pick = |machine: &Machine, done: &[bool]| {
-            actors
-                .iter()
-                .enumerate()
-                .filter(|(i, (core, _, _))| !done[*i] && machine.core_now(*core) < horizon)
-                .min_by_key(|(_, (core, _, _))| machine.core_now(*core))
-                .map(|(i, _)| i)
-        };
-        let Some(i) = pick(machine, &done) else {
-            finish(machine, steps);
-            return Ok(());
-        };
-        // The hook sees the global time (the chosen actor's clock) and may
-        // move clocks or scrub caches; re-pick afterwards so the selection
-        // respects whatever it did.
-        hook.before_step(machine, machine.core_now(actors[i].0))?;
-        let Some(i) = pick(machine, &done) else {
-            finish(machine, steps);
-            return Ok(());
-        };
-
-        let core = actors[i].0;
-        let before = machine.core_now(core);
-        let outcome = {
-            let (core, proc, actor) = &mut actors[i];
-            let mut cpu = CoreHandle::new(machine, *core, *proc);
-            actor.step(&mut cpu)?
-        };
-        steps += 1;
-        if outcome == StepOutcome::Done {
-            done[i] = true;
-        } else if machine.core_now(core) == before {
-            stuck_count[i] += 1;
-            if stuck_count[i] > STUCK_LIMIT {
-                return Err(stuck_error(core));
-            }
-        } else {
-            stuck_count[i] = 0;
-        }
-    }
-}
 
 /// The event-driven scheduler core: one wake-up event per runnable actor,
 /// popped in `(time, slot, seq)` order from a deterministic [`EventQueue`].
 ///
-/// Bit-identity with [`run_cycle_stepped`] rests on three facts (proved by
-/// `tests/engine_equivalence.rs` and argued in `DESIGN.md`):
+/// Bit-identity with a min-clock scan (the reference scheduler in
+/// `tests/engine_equivalence.rs`) rests on three facts, argued in
+/// `DESIGN.md`:
 ///
-/// * Queue order equals scan order. The old scheduler picks the minimum
-///   core clock, first binding slot on ties; the queue key `(time, slot,
-///   seq)` pops the same actor, because each actor has exactly one live
-///   entry.
+/// * Queue order equals scan order. The scan picks the minimum core
+///   clock, first binding slot on ties; the queue key `(time, slot, seq)`
+///   pops the same actor, because each actor has exactly one live entry.
 /// * Stale entries are lower bounds. Clocks only move forward (preemption
 ///   parks to `max`, drift and busy-work add), so an entry whose recorded
 ///   time no longer matches its actor's clock sorts *earlier* than the
@@ -421,8 +344,8 @@ fn run_event_driven(
     // re-queued, so the queue cannot yield it again.
     let mut stuck_count = vec![0u32; actors.len()];
 
-    // Same host span as the cycle-stepped loop, so profiles stay
-    // comparable across engines.
+    // Host-time profiling of the step loop: wall-clock only, recorded on
+    // exit — it cannot influence the simulated interleaving.
     let loop_start = std::time::Instant::now();
     let mut steps: u64 = 0;
     let finish = |machine: &mut Machine, steps: u64| {
@@ -473,8 +396,8 @@ fn run_event_driven(
         let slot = if run_hook {
             hook.before_step(machine, now)?;
             // The hook may have moved clocks: put the popped actor back at
-            // its (possibly new) clock and re-select, mirroring the
-            // cycle-stepped re-pick.
+            // its (possibly new) clock and re-select, so the pick respects
+            // whatever the hook did.
             let cur = machine.core_now(actors[slot].0);
             if cur < horizon {
                 queue.push(cur, slot as u32, ());
@@ -505,7 +428,11 @@ fn run_event_driven(
         if after == before {
             stuck_count[slot] += 1;
             if stuck_count[slot] > STUCK_LIMIT {
-                return Err(stuck_error(core));
+                return Err(ModelError::InvalidConfig {
+                    reason: format!(
+                        "actor on {core} made {STUCK_LIMIT} steps without advancing its clock"
+                    ),
+                });
             }
         } else {
             stuck_count[slot] = 0;
@@ -561,19 +488,13 @@ mod tests {
         }
     }
 
-    fn setup_with(engine: EngineKind) -> (Machine, ProcId, VirtAddr) {
-        let mut m = Machine::new(MachineConfig::small().with_engine(engine)).unwrap();
+    fn setup() -> (Machine, ProcId, VirtAddr) {
+        let mut m = Machine::new(MachineConfig::small()).unwrap();
         let p = m.create_process(AddressSpaceKind::Enclave);
         let base = VirtAddr::new(0x40_0000);
         m.map_pages(p, base, 2).unwrap();
         (m, p, base)
     }
-
-    fn setup() -> (Machine, ProcId, VirtAddr) {
-        setup_with(EngineKind::default())
-    }
-
-    const BOTH_ENGINES: [EngineKind; 2] = [EngineKind::CycleStepped, EngineKind::EventDriven];
 
     #[test]
     fn single_actor_runs_to_completion() {
@@ -716,117 +637,6 @@ mod tests {
         // horizon plus the burst.
         assert!(hook.times.windows(2).all(|w| w[0] <= w[1]));
         assert!(m.core_now(CoreId::new(0)) >= Cycles::new(10_000));
-    }
-
-    /// Both engines on the same two-reader workload: identical per-read
-    /// latencies and identical final clocks, step for step.
-    #[test]
-    fn engines_agree_on_shared_page_interleaving() {
-        let run = |engine: EngineKind| {
-            let (mut m, p, base) = setup_with(engine);
-            let mut a = Reader {
-                base,
-                remaining: 50,
-                latencies: Vec::new(),
-            };
-            let mut b = Reader {
-                base: base + PAGE_SIZE as u64,
-                remaining: 50,
-                latencies: Vec::new(),
-            };
-            let mut actors: Vec<ActorRef<'_>> =
-                vec![(CoreId::new(0), p, &mut a), (CoreId::new(1), p, &mut b)];
-            run_actor_refs(&mut m, &mut actors, Cycles::new(10_000_000)).unwrap();
-            (
-                a.latencies,
-                b.latencies,
-                m.core_now(CoreId::new(0)),
-                m.core_now(CoreId::new(1)),
-            )
-        };
-        assert_eq!(run(EngineKind::CycleStepped), run(EngineKind::EventDriven));
-    }
-
-    /// Both engines under a clock-moving hook: the preemption invalidates
-    /// the event engine's already-queued wake-up for core 0 (lazy
-    /// reschedule), and the observable run — every `now` the hook saw,
-    /// plus the final clock — still matches the cycle-stepped baseline.
-    #[test]
-    fn engines_agree_under_preempting_hook() {
-        struct PreemptAt {
-            at: Cycles,
-            fired: bool,
-            times: Vec<u64>,
-        }
-        impl StepHook for PreemptAt {
-            fn before_step(
-                &mut self,
-                machine: &mut Machine,
-                now: Cycles,
-            ) -> Result<(), ModelError> {
-                self.times.push(now.raw());
-                if !self.fired && now >= self.at {
-                    self.fired = true;
-                    machine.preempt_until(CoreId::new(0), now + Cycles::new(15_000));
-                }
-                Ok(())
-            }
-        }
-        let run = |engine: EngineKind| {
-            let (mut m, p, base) = setup_with(engine);
-            let mut spinner = Spinner;
-            let mut reader = Reader {
-                base,
-                remaining: 40,
-                latencies: Vec::new(),
-            };
-            let mut actors: Vec<ActorRef<'_>> = vec![
-                (CoreId::new(0), p, &mut spinner),
-                (CoreId::new(1), p, &mut reader),
-            ];
-            let mut hook = PreemptAt {
-                at: Cycles::new(2_000),
-                fired: false,
-                times: Vec::new(),
-            };
-            run_actor_refs_hooked(&mut m, &mut actors, Cycles::new(40_000), &mut hook).unwrap();
-            assert!(hook.fired);
-            (
-                hook.times,
-                reader.latencies,
-                m.core_now(CoreId::new(0)),
-                m.core_now(CoreId::new(1)),
-            )
-        };
-        assert_eq!(run(EngineKind::CycleStepped), run(EngineKind::EventDriven));
-    }
-
-    /// The deadlock guard and the horizon behave identically on the old
-    /// engine (the default-engine variants are covered above).
-    #[test]
-    fn cycle_stepped_engine_keeps_guards() {
-        for engine in BOTH_ENGINES {
-            let (mut m, p, _) = setup_with(engine);
-            let mut bindings = vec![ActorBinding {
-                core: CoreId::new(0),
-                proc: p,
-                actor: Box::new(Stuck),
-            }];
-            assert!(
-                run_actors(&mut m, &mut bindings, Cycles::new(1000)).is_err(),
-                "{engine:?} missed the stuck actor"
-            );
-
-            let (mut m, p, _) = setup_with(engine);
-            let mut bindings = vec![ActorBinding {
-                core: CoreId::new(0),
-                proc: p,
-                actor: Box::new(Spinner),
-            }];
-            run_actors(&mut m, &mut bindings, Cycles::new(10_000)).unwrap();
-            let now = m.core_now(CoreId::new(0));
-            assert!(now >= Cycles::new(10_000) && now < Cycles::new(10_200), "{engine:?}: {now}");
-        }
     }
 
     #[test]

@@ -40,23 +40,6 @@ impl PolicyKind {
     }
 }
 
-/// Which scheduler core drives [`crate::run_actors`] and friends.
-///
-/// Both engines produce bit-identical simulations — the event-driven core
-/// is the cycle-stepped scan re-expressed over a deterministic event queue
-/// (see `DESIGN.md`, "Event-driven core"), and `tests/engine_equivalence.rs`
-/// holds the two to an empty transcript diff. The cycle-stepped core is
-/// kept as the differential baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// Original scheduler: an O(actors) min-scan before every step.
-    CycleStepped,
-    /// Event-queue scheduler: wake-ups pop in `(time, slot, seq)` order
-    /// and hooks declare when they next need to run.
-    #[default]
-    EventDriven,
-}
-
 /// Full description of the simulated machine.
 ///
 /// [`MachineConfig::default`] models the paper's testbed (i7-6700K-like:
@@ -98,8 +81,6 @@ pub struct MachineConfig {
     /// Granularity (cycles) of the hyperthread timer mailbox: the publishing
     /// thread refreshes the timestamp every this many cycles.
     pub timer_quantum: u64,
-    /// Which scheduler core runs the actors.
-    pub engine: EngineKind,
     /// Capacity of the machine's translation memo (direct-mapped, shared
     /// across processes, keyed on a page-table generation stamp). `0`
     /// disables memoisation — every op re-walks the page table, the
@@ -148,7 +129,6 @@ impl Default for MachineConfig {
             stall_seed: 0x57a11,
             mee_key: 0x006d_6565_5f6b_6579, // "mee_key"
             timer_quantum: 35,
-            engine: EngineKind::default(),
             tlb_entries: DEFAULT_TLB_ENTRIES,
         }
     }
@@ -179,13 +159,6 @@ impl MachineConfig {
             dram,
             ..Self::default()
         }
-    }
-
-    /// Selects the scheduler core (differential tests pin each side).
-    #[must_use]
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
-        self
     }
 
     /// Disables all noise sources (jitter + stalls), keeping geometry.
@@ -328,14 +301,6 @@ mod tests {
             .validate()
             .unwrap();
         }
-    }
-
-    #[test]
-    fn engine_defaults_to_event_driven_and_switches() {
-        assert_eq!(MachineConfig::default().engine, EngineKind::EventDriven);
-        let cfg = MachineConfig::small().with_engine(EngineKind::CycleStepped);
-        assert_eq!(cfg.engine, EngineKind::CycleStepped);
-        cfg.validate().unwrap();
     }
 
     #[test]

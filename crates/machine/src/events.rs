@@ -4,8 +4,9 @@
 //! events pop by `(time, lane, seq)`. `time` is the simulated cycle the
 //! event fires at, `lane` breaks ties between events scheduled for the
 //! same cycle (the scheduler uses the actor's binding slot, so equal-time
-//! wake-ups resolve in binding order — exactly the tie-break of the
-//! cycle-stepped scheduler's first-minimum scan), and `seq` is a
+//! wake-ups resolve in binding order — exactly the tie-break of a
+//! first-minimum scan over the bindings, the reference scheduler in
+//! `tests/engine_equivalence.rs`), and `seq` is a
 //! monotonically increasing insertion counter so equal `(time, lane)`
 //! events pop in push order. Every pop is therefore a deterministic
 //! function of the push history — nothing about heap internals leaks into

@@ -54,6 +54,6 @@ pub use actor::{
     run_actor_refs, run_actor_refs_hooked, run_actors, Actor, ActorBinding, ActorRef, CoreHandle,
     HookSchedule, NoopHook, StepHook, StepOutcome,
 };
-pub use config::{EngineKind, MachineConfig, PolicyKind};
+pub use config::{MachineConfig, PolicyKind};
 pub use events::{EventKey, EventQueue};
 pub use machine::{CoreId, Machine, ProcId};

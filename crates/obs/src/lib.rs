@@ -22,9 +22,10 @@
 //! checkpointed / panicked / timed out / quarantined), keyed by shard so
 //! its rendering is deterministic even though shards execute concurrently.
 //!
-//! This crate sits just above `mee-types`/`mee-rng` in the layer map so
-//! every simulator layer (engine, machine, faults, channel, sweep, bench)
-//! can use it without cycles.
+//! This crate sits just above `mee-types` in the layer map so every
+//! simulator layer (engine, machine, faults, channel, sweep, bench) can
+//! use it without cycles. It reads no environment variable: the binaries
+//! resolve the `MEE_TRACE` knob (`mee-bench`) and pass a capacity in.
 
 pub mod campaign;
 pub mod event;
@@ -40,23 +41,9 @@ pub use metrics::{LatencyHistogram, MetricsRegistry, OpMetrics};
 pub use profile::{HostProfile, SpanStats};
 pub use tracer::{EventSink, NullTracer, RingRecorder, Tracer};
 
-/// The environment knob selecting the trace ring capacity (`0` disables
-/// tracing; parsed strictly, a malformed value panics).
-pub const TRACE_ENV: &str = "MEE_TRACE";
-
 /// Default ring capacity when tracing is enabled without an explicit
 /// capacity: 2²⁰ events (~48 MiB retained worst case).
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 20;
-
-/// Reads [`TRACE_ENV`]: `None` when unset, `Some(0)` to force tracing
-/// off, `Some(n)` for an `n`-event ring.
-///
-/// # Panics
-///
-/// Panics when the variable is set but not an unsigned integer.
-pub fn env_capacity() -> Option<usize> {
-    mee_rng::env_knob::unsigned_from_env::<usize>(TRACE_ENV)
-}
 
 /// The observability state a simulator owns: an event sink, an optional
 /// metrics registry, and a host-time profile. Constructed [`Obs::off`]
@@ -143,10 +130,5 @@ mod tests {
         assert_eq!(obs.events().len(), 1);
         assert!(obs.event_log().contains("establish_start"));
         assert_eq!(obs.metrics.as_ref().unwrap().cores().len(), 2);
-    }
-
-    #[test]
-    fn env_capacity_is_unset_by_default() {
-        assert_eq!(env_capacity(), None);
     }
 }
