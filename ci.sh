@@ -8,7 +8,9 @@ cd "$(dirname "$0")"
 
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
-cargo clippy --all-targets --offline -- -D warnings
+# --workspace: the root manifest has a [package], so a bare `cargo clippy`
+# would lint only the facade crate.
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # Every example must run end to end (quick payloads, release build).
 for example in quickstart covert_channel noisy_channel prime_probe_failure \

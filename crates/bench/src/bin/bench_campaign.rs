@@ -12,37 +12,51 @@
 //! * `--shards` / `MEE_CAMPAIGN_SHARDS` override the shard count;
 //! * `--dir` / `MEE_CAMPAIGN_DIR` name the checkpoint directory (no
 //!   directory ⇒ no checkpointing);
+//! * `--threads` / `MEE_SWEEP_THREADS` pin the worker count;
 //! * `--resume` continues a killed campaign from its checkpoints —
 //!   bit-identical to an uninterrupted run (ci.sh proves this with `cmp`);
 //! * `--abort-after K` injects a crash after K durable checkpoints (exit
 //!   status 3), which is how ci.sh kills the campaign deterministically.
 //!
+//! Flags beat their environment knobs, which beat the defaults; a
+//! malformed knob is a usage error naming the variable.
+//!
 //! Exit status: 0 on a complete campaign, 1 when shards were quarantined
 //! (the exact missing sessions are on stderr), 2 on usage errors, 3 on an
 //! injected abort.
 
+use std::path::PathBuf;
+
 use mee_attack::channel::ChannelConfig;
 use mee_attack::experiments::run_channel_campaign;
 use mee_bench::campaign::CampaignReport;
-use mee_bench::HarnessArgs;
+use mee_bench::{env_knob, usage_error, HarnessArgs};
 use mee_campaign::{CampaignError, CampaignPlan};
+use mee_rng::env_knob::{parse_nonempty, parse_positive};
+
+/// The environment knob overriding the shard count when `--shards` is
+/// absent.
+const SHARDS_ENV: &str = "MEE_CAMPAIGN_SHARDS";
+
+/// The environment knob naming the checkpoint directory when `--dir` is
+/// absent.
+const DIR_ENV: &str = "MEE_CAMPAIGN_DIR";
 
 /// The campaign-specific flags, peeled off before the shared
 /// [`HarnessArgs`] grammar sees the rest.
 struct CampaignArgs {
     shards: Option<usize>,
-    dir: Option<std::path::PathBuf>,
+    dir: Option<PathBuf>,
     resume: bool,
     abort_after: Option<usize>,
     rest: Vec<String>,
 }
 
 fn usage_exit(msg: &str) -> ! {
-    eprintln!(
+    usage_error(format!(
         "{msg} (usage: [seed] [scale] [--threads N] [--shards N>=1] [--dir PATH] \
          [--resume] [--abort-after K>=1] [--out PATH])"
-    );
-    std::process::exit(2);
+    ))
 }
 
 fn parse_campaign_args<I: IntoIterator<Item = String>>(args: I) -> CampaignArgs {
@@ -65,7 +79,7 @@ fn parse_campaign_args<I: IntoIterator<Item = String>>(args: I) -> CampaignArgs 
             }
             "--dir" => {
                 let v = it.next().unwrap_or_else(|| usage_exit("--dir needs a path"));
-                out.dir = Some(std::path::PathBuf::from(v));
+                out.dir = Some(PathBuf::from(v));
             }
             "--resume" => out.resume = true,
             "--abort-after" => {
@@ -85,23 +99,18 @@ fn parse_campaign_args<I: IntoIterator<Item = String>>(args: I) -> CampaignArgs 
 
 fn main() {
     let campaign_args = parse_campaign_args(std::env::args().skip(1));
-    let args = match HarnessArgs::parse(campaign_args.rest.clone()) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    let args = HarnessArgs::resolve(campaign_args.rest);
 
     let sessions = 16 * args.scale;
-    // Precedence mirrors the rest of the workspace: explicit flag beats
-    // environment knob beats scale-derived default. Both knobs go through
-    // the strict-parse grammar (a malformed value panics loudly there).
+    // Explicit flag beats environment knob beats scale-derived default.
     let shards = campaign_args
         .shards
-        .or_else(mee_campaign::shards_from_env)
+        .or_else(|| env_knob(SHARDS_ENV, parse_positive).unwrap_or_else(|e| usage_error(e)))
         .unwrap_or(8 * args.scale);
-    let dir = campaign_args.dir.clone().or_else(mee_campaign::dir_from_env);
+    let dir = campaign_args.dir.or_else(|| {
+        let dir = env_knob(DIR_ENV, parse_nonempty).unwrap_or_else(|e| usage_error(e));
+        dir.map(PathBuf::from)
+    });
     let bits = 16 * args.scale;
 
     let mut plan = CampaignPlan::new("channel/campaign", args.seed, sessions, shards)
@@ -120,10 +129,7 @@ fn main() {
             );
             std::process::exit(3);
         }
-        Err(e @ (CampaignError::InvalidPlan(_) | CampaignError::Threads(_))) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
+        Err(e @ CampaignError::InvalidPlan(_)) => usage_error(e),
         Err(e) => {
             eprintln!("{e}");
             std::process::exit(1);

@@ -91,8 +91,7 @@ fn main() {
                 std::process::exit(1);
             }
         };
-        let mut memo_off = MachineConfig::default();
-        memo_off.tlb_entries = 0;
+        let memo_off = MachineConfig { tlb_entries: 0, ..MachineConfig::default() };
         let reference = match run_sample(seed, memo_off) {
             Ok(r) => r,
             Err(e) => {

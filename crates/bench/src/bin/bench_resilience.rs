@@ -19,16 +19,9 @@
 use mee_attack::experiments::{run_resilience_sweep, SweepPlan};
 use mee_bench::resilience::{IntensityRecord, ResilienceReport};
 use mee_bench::HarnessArgs;
-use mee_sweep::Sweep;
 
 fn main() {
     let args = HarnessArgs::from_env();
-    // Validate the environment override the same way bad CLI flags are
-    // rejected: a message on stderr and exit status 2.
-    if let Err(e) = Sweep::from_env() {
-        eprintln!("{e}");
-        std::process::exit(2);
-    }
     let sessions = 2 * args.scale;
     let bits = 48;
 

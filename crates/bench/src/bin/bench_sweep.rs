@@ -13,53 +13,36 @@
 //!   working directory (`--out <path>` overrides the artifact path);
 //! * `scale` multiplies both the session count (4×) and the payload
 //!   (64 bits ×); `--threads` / `MEE_SWEEP_THREADS` pin the worker count,
-//!   which changes wall time but never the results.
+//!   which changes wall time but never the results (a malformed
+//!   `MEE_SWEEP_THREADS` exits 2).
 
 use std::time::Instant;
 
-use mee_attack::channel::{random_bits, ChannelConfig, Session};
-use mee_attack::setup::AttackSetup;
+use mee_attack::channel::ChannelConfig;
+use mee_attack::experiments::channel_session;
 use mee_bench::sweep::{SessionRecord, SweepReport};
 use mee_bench::HarnessArgs;
 use mee_sweep::Sweep;
 
-fn percentile_raw(sorted: &[u64], p: f64) -> u64 {
-    let rank = (p / 100.0 * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
 fn main() {
     let args = HarnessArgs::from_env();
-    // Validate the environment override the same way bad CLI flags are
-    // rejected: a message on stderr and exit status 2, not a panic.
-    let runner = match Sweep::from_env() {
-        Ok(r) => r.threads(args.threads),
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    let runner = Sweep::new().threads(args.threads);
     let sessions = 4 * args.scale;
     let bits = 64 * args.scale;
     let cfg = ChannelConfig::sweep_setup();
 
     let records = runner.seed_sweep(args.seed, sessions, |spec| {
         let start = Instant::now();
-        let mut setup = AttackSetup::new(spec.seed).expect("machine construction");
-        let session = Session::establish(&mut setup, &cfg).expect("channel establishment");
-        let payload = random_bits(bits, spec.seed);
-        let out = session.transmit(&mut setup, &payload).expect("transmission");
+        let point = channel_session(spec, &cfg, bits).expect("channel session");
         let host_ns = start.elapsed().as_nanos() as f64;
-        let mut probes: Vec<u64> = out.probe_times.iter().map(|t| t.raw()).collect();
-        probes.sort_unstable();
         SessionRecord {
-            index: spec.index,
-            seed: spec.seed,
+            index: point.index,
+            seed: point.seed,
             bits,
-            bit_errors: out.errors.count(),
-            kbps: out.kbps,
-            probe_p50_cycles: percentile_raw(&probes, 50.0),
-            probe_p95_cycles: percentile_raw(&probes, 95.0),
+            bit_errors: point.bit_errors,
+            kbps: point.kbps,
+            probe_p50_cycles: point.probe_p50.raw(),
+            probe_p95_cycles: point.probe_p95.raw(),
             host_ns,
         }
     });

@@ -37,17 +37,13 @@ use mee_types::Cycles;
 
 fn main() {
     let args = HarnessArgs::from_env();
-    let capacity = match args.trace_capacity() {
-        Some(n) => n,
-        None if args.trace.is_none() && mee_bench::env_capacity().is_none() => {
-            mee_obs::DEFAULT_RING_CAPACITY
-        }
-        None => {
-            eprintln!(
-                "bench-trace exports a trace; enable tracing (--trace N>0, or unset MEE_TRACE=0)"
-            );
-            std::process::exit(2);
-        }
+    let capacity = match args.trace {
+        None => mee_obs::DEFAULT_RING_CAPACITY,
+        Some(_) => args.trace_capacity().unwrap_or_else(|| {
+            mee_bench::usage_error(
+                "bench-trace exports a trace; enable tracing (--trace N>0, or unset MEE_TRACE=0)",
+            )
+        }),
     };
     let bits = 32 * args.scale;
 

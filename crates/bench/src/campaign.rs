@@ -118,7 +118,7 @@ mod tests {
         let plan = CampaignPlan::new("bench/test", 2019, 10, 4).threads(threads);
         Campaign::new(plan, vec!["v".into()], "t/v1")
             .unwrap()
-            .run(|spec, _| Ok(vec![(spec.seed % 1000) as f64]))
+            .run(|spec| Ok(vec![(spec.seed % 1000) as f64]))
             .unwrap()
     }
 

@@ -16,6 +16,12 @@
 //! Malformed arguments are hard errors: a typo'd sweep must never
 //! masquerade as the default run.
 //!
+//! The environment knobs are read here, at the binary edge, and nowhere in
+//! the simulator crates: [`HarnessArgs::with_env`] fills `--threads` from
+//! [`THREADS_ENV`] and `--trace` from [`TRACE_ENV`] when the flag is
+//! absent (`bench-campaign` resolves its own two the same way). A
+//! malformed value exits 2 with a one-line message naming the variable.
+//!
 //! Host-time measurement of the simulator itself lives in `perfbench/`
 //! (per-layer and end-to-end metrics); the `bench-*` binaries here each
 //! carry a CI gate (schema, determinism, or bit-identity).
@@ -26,19 +32,37 @@ pub mod output;
 pub mod resilience;
 pub mod sweep;
 
-/// The environment knob selecting the trace ring capacity (`0` disables
-/// tracing; parsed strictly, a malformed value panics). Only the binaries
-/// read it: the simulator crates take a capacity as an argument.
+use mee_rng::env_knob::{parse_positive, parse_unsigned, EnvKnobError};
+
+/// The environment knob selecting the trace ring capacity when `--trace`
+/// is absent (`0` disables tracing). The simulator crates take a capacity
+/// as an argument.
 pub const TRACE_ENV: &str = "MEE_TRACE";
 
-/// Reads [`TRACE_ENV`]: `None` when unset, `Some(0)` to force tracing
-/// off, `Some(n)` for an `n`-event ring.
+/// The environment knob pinning the worker-thread count of the sweep and
+/// campaign binaries when `--threads` is absent (default: the host's
+/// available parallelism). Results never depend on it.
+pub const THREADS_ENV: &str = "MEE_SWEEP_THREADS";
+
+/// Reads environment knob `name` through `parse`, one of the strict
+/// `mee_rng::env_knob` parsers; `Ok(None)` when the variable is unset.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics when the variable is set but not an unsigned integer.
-pub fn env_capacity() -> Option<usize> {
-    mee_rng::env_knob::unsigned_from_env::<usize>(TRACE_ENV)
+/// Returns the parser's [`EnvKnobError`], which names the variable and
+/// echoes the value, when it is set but malformed.
+pub fn env_knob<T>(
+    name: &'static str,
+    parse: impl Fn(&'static str, &str) -> Result<T, EnvKnobError>,
+) -> Result<Option<T>, EnvKnobError> {
+    std::env::var(name).ok().map(|v| parse(name, &v)).transpose()
+}
+
+/// Prints `msg` on stderr and exits with status 2, the usage-error status
+/// of every `mee-bench` binary.
+pub fn usage_error(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
 }
 
 /// Parsed command-line arguments for a `mee-bench` binary.
@@ -48,14 +72,15 @@ pub struct HarnessArgs {
     pub seed: u64,
     /// Work multiplier (≥ 1).
     pub scale: usize,
-    /// Worker threads for sweep-based binaries (`--threads N`); `None`
-    /// defers to `MEE_SWEEP_THREADS` or the host's available parallelism.
+    /// Worker threads for sweep-based binaries (`--threads N`, else
+    /// [`THREADS_ENV`] after [`HarnessArgs::with_env`]); `None` means the
+    /// host's available parallelism.
     pub threads: Option<usize>,
     /// Output artifact path override (`--out <path>`); `None` keeps each
     /// binary's default (stdout only, or its conventional `BENCH_*.json`).
     pub out: Option<std::path::PathBuf>,
-    /// Trace-ring capacity request (`--trace <events>`); `0` forces
-    /// tracing off, `None` defers to the `MEE_TRACE` environment knob.
+    /// Trace-ring capacity request (`--trace <events>`, else [`TRACE_ENV`]
+    /// after [`HarnessArgs::with_env`]); `0` forces tracing off.
     pub trace: Option<u64>,
 }
 
@@ -170,16 +195,36 @@ impl HarnessArgs {
         Ok(out)
     }
 
-    /// Parses from the process arguments, exiting with a message on
-    /// stderr (status 2) if they are malformed.
-    pub fn from_env() -> Self {
-        match Self::parse(std::env::args().skip(1)) {
-            Ok(args) => args,
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
+    /// Fills what the command line left unset from the environment knobs:
+    /// `threads` from [`THREADS_ENV`] (a positive integer) and `trace` from
+    /// [`TRACE_ENV`] (an unsigned integer). A flag always beats its knob.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`EnvKnobError`] of the first malformed knob consulted.
+    pub fn with_env(mut self) -> Result<Self, EnvKnobError> {
+        if self.threads.is_none() {
+            self.threads = env_knob(THREADS_ENV, parse_positive)?;
         }
+        if self.trace.is_none() {
+            self.trace = env_knob(TRACE_ENV, parse_unsigned)?;
+        }
+        Ok(self)
+    }
+
+    /// Parses `args` and resolves the environment knobs
+    /// ([`HarnessArgs::with_env`]), exiting with a one-line message on
+    /// stderr (status 2) if an argument or a knob is malformed.
+    pub fn resolve<I: IntoIterator<Item = String>>(args: I) -> Self {
+        match Self::parse(args) {
+            Ok(args) => args.with_env().unwrap_or_else(|e| usage_error(e)),
+            Err(e) => usage_error(e),
+        }
+    }
+
+    /// [`HarnessArgs::resolve`] over the process arguments.
+    pub fn from_env() -> Self {
+        Self::resolve(std::env::args().skip(1))
     }
 
     /// The output artifact path: `--out` if given, else `default` — the
@@ -190,20 +235,10 @@ impl HarnessArgs {
             .unwrap_or_else(|| std::path::PathBuf::from(default))
     }
 
-    /// The effective trace-ring capacity: the `--trace` flag beats the
-    /// `MEE_TRACE` environment knob; a value of `0` from either source —
-    /// or neither being set — disables tracing (`None`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `MEE_TRACE` is consulted and set to a malformed value
-    /// (the workspace-wide strict-knob policy: a typo'd override must
-    /// never silently fall back to a default).
+    /// The effective trace-ring capacity: `None` when `trace` is unset or
+    /// `0` (tracing off).
     pub fn trace_capacity(&self) -> Option<usize> {
-        let raw = match self.trace {
-            Some(n) => usize::try_from(n).expect("trace capacity fits usize"),
-            None => env_capacity()?,
-        };
+        let raw = usize::try_from(self.trace?).expect("trace capacity fits usize");
         (raw > 0).then_some(raw)
     }
 }
@@ -274,8 +309,47 @@ mod tests {
     }
 
     #[test]
-    fn env_capacity_is_unset_by_default() {
-        assert_eq!(env_capacity(), None);
+    fn with_env_fills_unset_flags_and_rejects_malformed_knobs() {
+        // Env vars are process-global: this is the only test in the crate
+        // that touches MEE_SWEEP_THREADS or MEE_TRACE, and it restores the
+        // prior state.
+        let prior = [THREADS_ENV, TRACE_ENV].map(|k| (k, std::env::var(k).ok()));
+        let args = |v: &[&str]| HarnessArgs::parse(v.iter().map(|s| (*s).to_owned())).unwrap();
+
+        std::env::remove_var(THREADS_ENV);
+        std::env::remove_var(TRACE_ENV);
+        assert_eq!(args(&[]).with_env().unwrap(), HarnessArgs::default());
+
+        std::env::set_var(THREADS_ENV, " 3 ");
+        std::env::set_var(TRACE_ENV, "0");
+        let a = args(&[]).with_env().unwrap();
+        assert_eq!((a.threads, a.trace, a.trace_capacity()), (Some(3), Some(0), None));
+        let b = args(&["--threads", "2", "--trace", "64"]).with_env().unwrap();
+        assert_eq!((b.threads, b.trace), (Some(2), Some(64)), "flags beat knobs");
+
+        for bad in ["0", "-2", "", "lots", "4.5", "999999999999999999999999999999"] {
+            std::env::set_var(THREADS_ENV, bad);
+            let msg = args(&[]).with_env().unwrap_err().to_string();
+            assert!(
+                msg.contains(THREADS_ENV) && msg.contains("positive integer"),
+                "unhelpful error for {bad:?}: {msg}"
+            );
+            assert!(msg.contains(&format!("{bad:?}")), "value not echoed: {msg}");
+            assert!(!msg.contains('\n'), "not one line: {msg}");
+            // An explicit flag never consults the knob.
+            assert!(args(&["--threads", "1"]).with_env().is_ok());
+        }
+        std::env::remove_var(THREADS_ENV);
+        std::env::set_var(TRACE_ENV, "big");
+        let msg = args(&[]).with_env().unwrap_err().to_string();
+        assert!(msg.contains(TRACE_ENV), "{msg}");
+
+        for (k, v) in prior {
+            match v {
+                Some(v) => std::env::set_var(k, v),
+                None => std::env::remove_var(k),
+            }
+        }
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! The paper's headline numbers (≈35 KBps at ~1–2 % BER) are statistical
 //! claims over many independent sessions; ROADMAP's fleet-scale item calls
 //! for 10⁵–10⁶ sessions per invocation. At that scale the orchestration
-//! itself must survive faults: a killed process, a shard whose session
-//! panics, a shard that hangs. This crate layers exactly that machinery on
-//! the [`mee_sweep`] seed-space conventions:
+//! itself must survive faults: a killed process, or a shard whose session
+//! panics or errors. This crate layers exactly that machinery on the
+//! [`mee_sweep`] seed-space conventions and runs its shards on the
+//! [`mee_sweep::Sweep`] work queue:
 //!
 //! * **Sharding** — the session index space `0..sessions` is partitioned
 //!   into contiguous shards; session `i`'s seed is
@@ -24,15 +25,15 @@
 //!   shards. Because per-shard aggregates are pure functions of the shard
 //!   and the final merge is in fixed shard order, *resumed ≡ uninterrupted,
 //!   bit for bit, at any thread count* — proven by tests.
-//! * **Quarantine** — a shard whose body panics or errors is retried under
-//!   a deterministic budget with exponential backoff; when the budget is
-//!   exhausted the shard is quarantined and the campaign **completes
-//!   anyway**, reporting exactly which sessions (and therefore seeds) are
-//!   missing. Callers exit non-zero on [`CampaignOutcome::is_complete`]
-//!   being false.
-//! * **Watchdog** — an optional per-attempt timeout cancels hung shards
-//!   (cooperatively, via [`ShardCtx::is_cancelled`]) and requeues them
-//!   under the same retry budget.
+//! * **Quarantine** — a shard whose body panics or errors is quarantined
+//!   on its first fault and the campaign **completes anyway**, reporting
+//!   exactly which sessions (and therefore seeds) are missing. There is no
+//!   retry: the body is a pure function of its spec, so a rerun would
+//!   reproduce the fault. Callers exit non-zero on
+//!   [`CampaignOutcome::is_complete`] being false.
+//!
+//! The crate reads no environment: binaries resolve their knobs and pass
+//! them in through [`CampaignPlan`].
 //!
 //! ```
 //! use mee_campaign::{Campaign, CampaignPlan};
@@ -40,16 +41,13 @@
 //! let plan = CampaignPlan::new("doc/example", 2019, 8, 4);
 //! let campaign = Campaign::new(plan, vec!["value".into()], "doc/v1").unwrap();
 //! let outcome = campaign
-//!     .run(|spec, _ctx| Ok(vec![spec.seed as f64 / u64::MAX as f64]))
+//!     .run(|spec| Ok(vec![spec.seed as f64 / u64::MAX as f64]))
 //!     .unwrap();
 //! assert!(outcome.is_complete());
 //! assert_eq!(outcome.aggregate.sessions, 8);
 //! ```
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
 
 pub mod agg;
 pub mod checkpoint;
@@ -61,18 +59,7 @@ pub use mee_sweep::SessionSpec;
 
 use mee_obs::{CampaignLog, HostProfile};
 
-/// Environment variable overriding the shard count of campaigns built with
-/// [`CampaignPlan::shards_from_env`]; parsed through the workspace
-/// strict-knob grammar (a malformed value is a loud error, never a silent
-/// default).
-pub const SHARDS_ENV: &str = "MEE_CAMPAIGN_SHARDS";
-
-/// Environment variable naming the default checkpoint directory; parsed
-/// through the workspace strict-knob grammar (set-but-empty is a loud
-/// error).
-pub const DIR_ENV: &str = "MEE_CAMPAIGN_DIR";
-
-/// The [`HostProfile`] span covering one shard attempt's body.
+/// The [`HostProfile`] span covering one shard's body.
 pub const SHARD_SPAN: &str = "campaign_shard";
 
 /// The [`HostProfile`] span covering one atomic checkpoint write.
@@ -80,26 +67,6 @@ pub const CHECKPOINT_WRITE_SPAN: &str = "campaign_checkpoint_write";
 
 /// The [`HostProfile`] span covering one checkpoint load during resume.
 pub const CHECKPOINT_LOAD_SPAN: &str = "campaign_checkpoint_load";
-
-/// Reads the [`SHARDS_ENV`] override (`None` when unset).
-///
-/// # Panics
-///
-/// Panics with the strict-knob message when set but not a positive
-/// integer — identical policy to `MEE_SWEEP_THREADS`.
-pub fn shards_from_env() -> Option<usize> {
-    mee_rng::env_knob::positive_from_env::<usize>(SHARDS_ENV)
-}
-
-/// Reads the [`DIR_ENV`] override (`None` when unset).
-///
-/// # Panics
-///
-/// Panics with the strict-knob message when set but empty or
-/// whitespace-only.
-pub fn dir_from_env() -> Option<PathBuf> {
-    mee_rng::env_knob::nonempty_from_env(DIR_ENV).map(PathBuf::from)
-}
 
 /// The contiguous session range of shard `s` in a balanced partition of
 /// `sessions` over `shards` (first `sessions % shards` shards get one
@@ -131,8 +98,8 @@ pub struct CampaignPlan {
     /// aggregates depend on the partition, so resuming under a different
     /// shard count is refused rather than silently mixed.
     pub shards: usize,
-    /// Worker threads; `None` defers to `MEE_SWEEP_THREADS` / host
-    /// parallelism exactly like [`mee_sweep::Sweep::new`].
+    /// Worker threads; `None` means the host's available parallelism,
+    /// exactly like [`mee_sweep::Sweep::new`].
     pub threads: Option<usize>,
     /// Checkpoint directory; `None` disables checkpointing (the campaign
     /// still runs, aggregates in memory only).
@@ -141,24 +108,16 @@ pub struct CampaignPlan {
     /// missing shards execute. When false, a non-empty `dir` is an error —
     /// stale state must never be mixed in accidentally.
     pub resume: bool,
-    /// How many *extra* attempts a faulting shard gets after its first
-    /// (0 = fail fast).
-    pub retries: u32,
-    /// Base of the deterministic exponential backoff: retry attempt `k`
-    /// (1-based) becomes eligible `backoff · 2^(k−1)` after the fault.
-    pub backoff: Duration,
-    /// Per-attempt watchdog timeout; `None` disables the watchdog.
-    pub watchdog: Option<Duration>,
     /// Crash injection for tests and the ci.sh kill/resume smoke: after
     /// this many *freshly written* checkpoints the campaign aborts with
-    /// [`CampaignError::Aborted`], leaving the checkpoint directory
-    /// exactly as a `kill -9` at that instant would.
+    /// [`CampaignError::Aborted`], leaving exactly that many shard files in
+    /// the checkpoint directory, as a `kill -9` at that instant would.
     pub abort_after: Option<usize>,
 }
 
 impl CampaignPlan {
-    /// A plan with robustness defaults: 2 retries, 10 ms backoff base, no
-    /// watchdog, no checkpoint dir, environment-default threads.
+    /// A plan with no checkpoint dir, no crash injection and
+    /// host-parallelism threads.
     pub fn new(name: impl Into<String>, root_seed: u64, sessions: usize, shards: usize) -> Self {
         CampaignPlan {
             name: name.into(),
@@ -168,9 +127,6 @@ impl CampaignPlan {
             threads: None,
             dir: None,
             resume: false,
-            retries: 2,
-            backoff: Duration::from_millis(10),
-            watchdog: None,
             abort_after: None,
         }
     }
@@ -196,27 +152,6 @@ impl CampaignPlan {
         self
     }
 
-    /// Sets the per-shard retry budget (extra attempts after the first).
-    #[must_use]
-    pub fn retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
-    }
-
-    /// Sets the exponential-backoff base.
-    #[must_use]
-    pub fn backoff(mut self, backoff: Duration) -> Self {
-        self.backoff = backoff;
-        self
-    }
-
-    /// Enables the per-attempt watchdog.
-    #[must_use]
-    pub fn watchdog(mut self, timeout: Duration) -> Self {
-        self.watchdog = Some(timeout);
-        self
-    }
-
     /// Enables crash injection after `n` fresh checkpoints.
     #[must_use]
     pub fn abort_after(mut self, n: usize) -> Self {
@@ -224,73 +159,19 @@ impl CampaignPlan {
         self
     }
 
-    /// The shard count from [`SHARDS_ENV`] if set, else `default`.
-    ///
-    /// # Panics
-    ///
-    /// Panics (strict-knob policy) when the variable is set but malformed.
-    pub fn shards_from_env(default: usize) -> usize {
-        shards_from_env().unwrap_or(default)
-    }
-
     /// The session range of shard `s` under this plan.
     pub fn shard_range(&self, s: usize) -> std::ops::Range<usize> {
         shard_range(self.sessions, self.shards, s)
-    }
-
-    /// Resolved worker count: the explicit override, else the
-    /// `MEE_SWEEP_THREADS` / host-parallelism default shared with
-    /// [`mee_sweep::Sweep`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the [`mee_sweep::ThreadsEnvError`] of a malformed
-    /// `MEE_SWEEP_THREADS`.
-    pub fn resolved_threads(&self) -> Result<usize, mee_sweep::ThreadsEnvError> {
-        match self.threads {
-            Some(n) => Ok(n),
-            None => Ok(mee_sweep::Sweep::from_env()?.thread_count()),
-        }
-    }
-}
-
-/// Per-attempt context handed to the session body: which shard and attempt
-/// is executing, and the cooperative cancellation flag the watchdog sets.
-///
-/// Long-running session bodies should poll [`ShardCtx::is_cancelled`] at
-/// convenient points (between probe batches, between sessions) and return
-/// early; the runner discards any result of a cancelled attempt either
-/// way, so ignoring the flag only wastes worker time, never correctness.
-#[derive(Debug, Clone)]
-pub struct ShardCtx {
-    /// The shard being executed.
-    pub shard: usize,
-    /// 0-based attempt number (0 = first try).
-    pub attempt: u32,
-    cancelled: Arc<AtomicBool>,
-}
-
-impl ShardCtx {
-    pub(crate) fn new(shard: usize, attempt: u32, cancelled: Arc<AtomicBool>) -> Self {
-        ShardCtx { shard, attempt, cancelled }
-    }
-
-    /// True once the watchdog has timed this attempt out (or the campaign
-    /// is shutting down); the body should return promptly.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Relaxed)
     }
 }
 
 /// Why a shard ended up quarantined.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QuarantineReason {
-    /// Every attempt panicked; the final enriched payload is preserved.
+    /// A session panicked; the enriched payload is preserved.
     Panicked(String),
-    /// Every attempt returned a session error.
+    /// A session returned an error.
     Failed(String),
-    /// Every attempt exceeded the watchdog timeout.
-    Hung,
 }
 
 impl std::fmt::Display for QuarantineReason {
@@ -298,7 +179,6 @@ impl std::fmt::Display for QuarantineReason {
         match self {
             QuarantineReason::Panicked(msg) => write!(f, "panicked: {msg}"),
             QuarantineReason::Failed(msg) => write!(f, "failed: {msg}"),
-            QuarantineReason::Hung => write!(f, "hung: watchdog timeout on every attempt"),
         }
     }
 }
@@ -312,8 +192,6 @@ pub struct QuarantinedShard {
     pub lo: usize,
     /// One past the last missing session index.
     pub hi: usize,
-    /// Attempts consumed (first try + retries).
-    pub attempts: u32,
     /// Why the shard was given up on.
     pub reason: QuarantineReason,
 }
@@ -357,15 +235,15 @@ impl CampaignOutcome {
     }
 
     /// The exact quarantine report: one line per quarantined shard naming
-    /// the missing session range, the per-session seed recipe, the attempt
-    /// count, and the terminal fault. Empty string when complete.
+    /// the missing session range, the fault, and the per-session seed
+    /// recipe. Empty string when complete.
     pub fn quarantine_report(&self) -> String {
         let mut out = String::new();
         for q in &self.quarantined {
             out.push_str(&format!(
-                "quarantined shard {}: sessions {}..{} missing after {} attempt(s): {} | \
-                 replay: session i reruns standalone with seed stream_seed({}, i)\n",
-                q.shard, q.lo, q.hi, q.attempts, q.reason, self.root_seed
+                "quarantined shard {}: sessions {}..{} missing: {} | replay: session i reruns \
+                 standalone with seed stream_seed({}, i)\n",
+                q.shard, q.lo, q.hi, q.reason, self.root_seed
             ));
         }
         out
@@ -397,9 +275,6 @@ pub enum CampaignError {
         /// How many shard checkpoints it holds.
         found: usize,
     },
-    /// A malformed `MEE_SWEEP_THREADS` (surfaced as a value so binaries
-    /// exit with a usage message).
-    Threads(mee_sweep::ThreadsEnvError),
     /// Injected crash (`abort_after`) fired: the process state is exactly
     /// a kill after `checkpointed` shards were durably written.
     Aborted {
@@ -422,7 +297,6 @@ impl std::fmt::Display for CampaignError {
                  resume to continue that campaign or point at a fresh directory",
                 dir.display()
             ),
-            CampaignError::Threads(e) => write!(f, "{e}"),
             CampaignError::Aborted { checkpointed } => write!(
                 f,
                 "campaign aborted by crash injection after {checkpointed} checkpointed \
@@ -437,7 +311,6 @@ impl std::error::Error for CampaignError {
         match self {
             CampaignError::Checkpoint(e) => Some(e),
             CampaignError::Io { source, .. } => Some(source),
-            CampaignError::Threads(e) => Some(e),
             _ => None,
         }
     }
@@ -532,10 +405,11 @@ impl Campaign {
     /// [`CampaignOutcome::is_complete`] is false).
     ///
     /// `body` runs once per session with that session's
-    /// [`SessionSpec`] (seed = `stream_seed(root, index)`) and the
-    /// [`ShardCtx`]; it returns one `f64` per series, in series order, or
-    /// a session-error string. It must be a pure function of the spec for
-    /// the determinism guarantees to hold.
+    /// [`SessionSpec`] (seed = `stream_seed(root, index)`); it returns one
+    /// `f64` per series, in series order, or a session-error string. It
+    /// must be a pure function of the spec for the determinism guarantees
+    /// to hold; a shard whose body panics or errors is quarantined on that
+    /// first fault.
     ///
     /// # Errors
     ///
@@ -543,7 +417,7 @@ impl Campaign {
     /// here, *not* a silent recompute.
     pub fn run<F>(&self, body: F) -> Result<CampaignOutcome, CampaignError>
     where
-        F: Fn(SessionSpec, &ShardCtx) -> Result<Vec<f64>, String> + Sync,
+        F: Fn(SessionSpec) -> Result<Vec<f64>, String> + Sync,
     {
         runner::run(self, &body)
     }
@@ -595,15 +469,5 @@ mod tests {
         )
         .is_err(), "abort_after without dir must be rejected");
         assert!(Campaign::new(CampaignPlan::new("t", 1, 4, 2), ok_series(), "v").is_ok());
-    }
-
-    #[test]
-    fn env_knobs_route_through_the_strict_grammar() {
-        // Unset ⇒ None; the strict-parse failure paths are covered by the
-        // env_knob crate tests (process-global env vars are not toyed with
-        // here).
-        assert_eq!(shards_from_env(), None);
-        assert_eq!(dir_from_env(), None);
-        assert_eq!(CampaignPlan::shards_from_env(12), 12);
     }
 }

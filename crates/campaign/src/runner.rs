@@ -1,333 +1,155 @@
-//! The campaign execution engine: a work-stealing attempt queue drained by
-//! scoped worker threads, coordinated by the calling thread.
+//! The campaign execution engine: the pending shards are the work items of
+//! one [`mee_sweep::Sweep::run`], so campaigns and plain sweeps share a
+//! single worker pool.
 //!
-//! Concurrency model (and why the result is still deterministic):
+//! Why the result is still deterministic:
 //!
 //! * Workers race over *shards*, but each shard's sessions fold serially in
-//!   index order on whichever worker owns the attempt — so a shard
+//!   index order on whichever worker picked the shard up — so a shard
 //!   aggregate is a pure function of the shard, independent of scheduling.
-//! * The coordinator merges completed shard aggregates in ascending shard
-//!   order *after* all shards resolve — so the campaign aggregate is
-//!   independent of completion order, thread count, and (because resumed
-//!   checkpoints are byte-exact round-trips) of whether any shard was
-//!   computed now or in a previous process.
-//! * Faults (panics, session errors, watchdog timeouts) only ever remove a
-//!   shard from the aggregate (quarantine) or cause a bit-identical
-//!   recompute (retry) — they cannot reorder the fold.
+//! * The runner merges shard aggregates, events and host spans in
+//!   ascending shard order *after* the sweep returns — so the campaign
+//!   aggregate is independent of completion order, thread count, and
+//!   (because resumed checkpoints are byte-exact round-trips) of whether
+//!   any shard was computed now or in a previous process.
+//! * A fault (panic or session error) only ever removes its shard from the
+//!   aggregate (quarantine) — it cannot reorder the fold.
 //!
-//! Cancellation is cooperative: safe Rust cannot kill a thread, so the
-//! watchdog flips the attempt's [`ShardCtx`] flag, marks the attempt stale
-//! (its eventual result is discarded), and requeues the shard. A body that
-//! never polls the flag delays process exit but never corrupts results.
+//! A faulting shard is quarantined on its first fault, never retried: the
+//! body is a pure function of its [`SessionSpec`], so a rerun would only
+//! reproduce the fault.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 
 use mee_obs::{CampaignLog, HostProfile, ShardEvent};
 use mee_rng::stream_seed;
+use mee_sweep::Sweep;
 
 use crate::agg::{CampaignAggregate, ShardAggregate};
-use crate::checkpoint;
+use crate::checkpoint::{self, CheckpointError};
 use crate::{
     Campaign, CampaignError, CampaignOutcome, QuarantineReason, QuarantinedShard, SessionSpec,
-    ShardCtx, CHECKPOINT_LOAD_SPAN, CHECKPOINT_WRITE_SPAN, SHARD_SPAN,
+    CHECKPOINT_LOAD_SPAN, CHECKPOINT_WRITE_SPAN, SHARD_SPAN,
 };
 
-/// One schedulable unit: a numbered attempt at a shard, eligible to run
-/// once `not_before` has passed (exponential backoff lives here).
-struct QueuedAttempt {
+/// How one pending shard ended.
+enum ShardResult {
+    /// Folded cleanly (and checkpointed, when the plan has a directory).
+    Done(ShardAggregate),
+    /// A session panicked or failed; the shard is left out of the aggregate.
+    Quarantined(QuarantineReason),
+    /// The injected crash had already taken every checkpoint slot, so the
+    /// shard was not run or its checkpoint not written.
+    Skipped,
+}
+
+/// Everything one shard hands back to the merge: its result, its events in
+/// occurrence order, and its host spans.
+struct ShardRun {
+    result: Result<ShardResult, CheckpointError>,
+    events: Vec<ShardEvent>,
+    host: HostProfile,
+}
+
+/// Folds one shard's sessions strictly in index order. A panic is caught
+/// and, like a session error, enriched with the exact session, seed, and
+/// replay recipe (mee-spec counterexample style).
+fn fold_shard<F>(
+    campaign: &Campaign,
     shard: usize,
-    attempt: u32,
-    not_before: Instant,
-    cancel: Arc<AtomicBool>,
-}
-
-/// How one attempt at a shard ended, from the worker's point of view.
-enum AttemptOutcome {
-    Done(Box<ShardAggregate>),
-    Panicked(String),
-    Failed(String),
-    Cancelled,
-}
-
-enum Msg {
-    Started { shard: usize, attempt: u32 },
-    Finished { shard: usize, attempt: u32, outcome: AttemptOutcome, elapsed: Duration },
-}
-
-/// The coordinator's view of a shard's live attempt.
-struct LiveAttempt {
-    attempt: u32,
-    cancel: Arc<AtomicBool>,
-    /// Watchdog deadline; armed when `Started` arrives (queue wait does
-    /// not count against the timeout).
-    deadline: Option<Instant>,
-}
-
-/// Runs one attempt at a shard: sessions folded strictly in index order,
-/// with the cancel flag checked between sessions and a panic enriched with
-/// the exact session, seed, and replay recipe (mee-spec counterexample
-/// style).
-fn run_attempt<F>(campaign: &Campaign, ctx: &ShardCtx, body: &F) -> AttemptOutcome
+    body: &F,
+) -> Result<ShardAggregate, QuarantineReason>
 where
-    F: Fn(SessionSpec, &ShardCtx) -> Result<Vec<f64>, String> + Sync,
+    F: Fn(SessionSpec) -> Result<Vec<f64>, String> + Sync,
 {
     let plan = campaign.plan();
-    let range = plan.shard_range(ctx.shard);
-    let nseries = campaign.series().len();
+    let range = plan.shard_range(shard);
+    let root = plan.root_seed;
+    let recipe = |index: usize, message: &str| {
+        format!(
+            "session {index} (seed 0x{seed:016x}): {message} | replay: rerun session {index} \
+             alone — its seed is stream_seed({root}, {index})",
+            seed = stream_seed(root, index as u64),
+        )
+    };
     let current = std::cell::Cell::new(range.start);
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        let mut agg = ShardAggregate::empty(ctx.shard, range.start, range.end, nseries);
+    let folded = catch_unwind(AssertUnwindSafe(|| {
+        let mut agg = ShardAggregate::empty(shard, range.start, range.end, campaign.series().len());
         for index in range.clone() {
-            if ctx.is_cancelled() {
-                return AttemptOutcome::Cancelled;
-            }
             current.set(index);
-            let spec = SessionSpec { index, seed: stream_seed(plan.root_seed, index as u64) };
-            match body(spec, ctx) {
+            let spec = SessionSpec {
+                index,
+                seed: stream_seed(root, index as u64),
+            };
+            match body(spec) {
                 Ok(values) => agg.push_session(&values),
-                Err(message) => {
-                    return AttemptOutcome::Failed(format!(
-                        "session {index} (seed 0x{seed:016x}): {message} | replay: rerun \
-                         session {index} alone — its seed is stream_seed({root}, {index})",
-                        seed = spec.seed,
-                        root = plan.root_seed,
-                    ))
-                }
+                Err(message) => return Err(QuarantineReason::Failed(recipe(index, &message))),
             }
         }
-        AttemptOutcome::Done(Box::new(agg))
+        Ok(agg)
     }));
-    match result {
-        Ok(outcome) => outcome,
-        Err(payload) => {
-            let index = current.get();
-            AttemptOutcome::Panicked(format!(
-                "session {index} (seed 0x{seed:016x}): {msg} | replay: rerun session \
-                 {index} alone — its seed is stream_seed({root}, {index})",
-                seed = stream_seed(plan.root_seed, index as u64),
-                msg = mee_sweep::panic_message(payload.as_ref()),
-                root = plan.root_seed,
-            ))
-        }
-    }
+    folded.unwrap_or_else(|payload| {
+        let message = mee_sweep::panic_message(payload.as_ref());
+        Err(QuarantineReason::Panicked(recipe(current.get(), &message)))
+    })
 }
 
-/// Worker loop: pop the first *due* attempt, run it, report back. Exits
-/// when the shutdown flag is raised.
-fn worker<F>(
-    campaign: &Campaign,
-    body: &F,
-    queue: &Mutex<VecDeque<QueuedAttempt>>,
-    shutdown: &AtomicBool,
-    tx: &Sender<Msg>,
-) where
-    F: Fn(SessionSpec, &ShardCtx) -> Result<Vec<f64>, String> + Sync,
+/// Runs one pending shard on a sweep worker: fold, then checkpoint from
+/// the worker itself (each shard has its own temp file, `fsync` and
+/// rename).
+///
+/// Crash injection keeps exact-K semantics: a shard reserves a checkpoint
+/// slot with `fetch_add` before writing and skips the write once
+/// `abort_after` slots are taken; a shard that starts after that is not
+/// run at all.
+fn run_shard<F>(campaign: &Campaign, shard: usize, body: &F, slots: &AtomicUsize) -> ShardRun
+where
+    F: Fn(SessionSpec) -> Result<Vec<f64>, String> + Sync,
 {
-    while !shutdown.load(Ordering::Relaxed) {
-        let job = {
-            let mut q = queue.lock().expect("campaign queue poisoned");
-            let now = Instant::now();
-            q.iter()
-                .position(|j| j.not_before <= now)
-                .and_then(|pos| q.remove(pos))
-        };
-        let Some(job) = job else {
-            std::thread::sleep(Duration::from_micros(500));
-            continue;
-        };
-        let _ = tx.send(Msg::Started { shard: job.shard, attempt: job.attempt });
-        let ctx = ShardCtx::new(job.shard, job.attempt, job.cancel);
-        let start = Instant::now();
-        let outcome = run_attempt(campaign, &ctx, body);
-        let _ = tx.send(Msg::Finished {
-            shard: job.shard,
-            attempt: job.attempt,
-            outcome,
-            elapsed: start.elapsed(),
-        });
+    let plan = campaign.plan();
+    let crashed = |taken: usize| plan.abort_after.is_some_and(|k| taken >= k);
+    let mut run = ShardRun {
+        result: Ok(ShardResult::Skipped),
+        events: Vec::new(),
+        host: HostProfile::new(),
+    };
+    if crashed(slots.load(Ordering::Relaxed)) {
+        return run;
     }
-}
-
-/// Everything the coordinator mutates while shards resolve. Extracted so
-/// the retry-or-quarantine decision is one function shared by the fault
-/// and timeout paths.
-struct Coordinator<'c> {
-    campaign: &'c Campaign,
-    queue: &'c Mutex<VecDeque<QueuedAttempt>>,
-    live: Vec<Option<LiveAttempt>>,
-    results: Vec<Option<ShardAggregate>>,
-    quarantined: Vec<QuarantinedShard>,
-    log: CampaignLog,
-    host: HostProfile,
-    unresolved: usize,
-    fresh_checkpoints: usize,
-}
-
-impl Coordinator<'_> {
-    fn enqueue(&mut self, shard: usize, attempt: u32, not_before: Instant) {
-        let cancel = Arc::new(AtomicBool::new(false));
-        self.live[shard] =
-            Some(LiveAttempt { attempt, cancel: cancel.clone(), deadline: None });
-        self.queue
-            .lock()
-            .expect("campaign queue poisoned")
-            .push_back(QueuedAttempt { shard, attempt, not_before, cancel });
-    }
-
-    /// The deterministic backoff before retry attempt `next` (1-based):
-    /// `backoff · 2^(next−1)`, saturating.
-    fn backoff_for(&self, next: u32) -> Duration {
-        let base = self.campaign.plan().backoff;
-        base.saturating_mul(1u32.checked_shl(next - 1).unwrap_or(u32::MAX))
-    }
-
-    /// A faulted attempt either requeues (budget remaining) or quarantines
-    /// the shard. `reason` is only built when the budget is exhausted.
-    fn retry_or_quarantine(
-        &mut self,
-        shard: usize,
-        attempt: u32,
-        reason: impl FnOnce() -> QuarantineReason,
-    ) {
-        let retries = self.campaign.plan().retries;
-        if attempt < retries {
-            let next = attempt + 1;
-            let backoff = self.backoff_for(next);
-            self.log.record(
-                shard,
-                ShardEvent::Requeued { attempt: next, backoff_ms: backoff.as_millis() as u64 },
-            );
-            self.enqueue(shard, next, Instant::now() + backoff);
-        } else {
-            let reason = reason();
-            self.log.record(
-                shard,
-                ShardEvent::Quarantined { attempts: attempt + 1, reason: reason.to_string() },
-            );
-            let range = self.campaign.plan().shard_range(shard);
-            self.quarantined.push(QuarantinedShard {
-                shard,
-                lo: range.start,
-                hi: range.end,
-                attempts: attempt + 1,
-                reason,
+    run.events.push(ShardEvent::Started);
+    let start = Instant::now();
+    let folded = fold_shard(campaign, shard, body);
+    run.host.record(SHARD_SPAN, start.elapsed());
+    let agg = match folded {
+        Ok(agg) => agg,
+        Err(reason) => {
+            run.events.push(ShardEvent::Quarantined {
+                reason: reason.to_string(),
             });
-            self.live[shard] = None;
-            self.unresolved -= 1;
+            run.result = Ok(ShardResult::Quarantined(reason));
+            return run;
         }
-    }
-
-    /// Handles one worker message. `Ok(true)` means the injected crash
-    /// fired and the campaign must abort.
-    fn handle(&mut self, msg: Msg) -> Result<bool, CampaignError> {
-        match msg {
-            Msg::Started { shard, attempt } => {
-                // Arm the watchdog only for the attempt we still care
-                // about (a stale Started can arrive after a requeue).
-                if let Some(live) = self.live[shard].as_mut() {
-                    if live.attempt == attempt {
-                        self.log.record(shard, ShardEvent::Started { attempt });
-                        live.deadline = self
-                            .campaign
-                            .plan()
-                            .watchdog
-                            .map(|t| Instant::now() + t);
-                    }
-                }
-                Ok(false)
-            }
-            Msg::Finished { shard, attempt, outcome, elapsed } => {
-                self.host.record(SHARD_SPAN, elapsed);
-                let is_current =
-                    self.live[shard].as_ref().is_some_and(|l| l.attempt == attempt);
-                if !is_current {
-                    return Ok(false); // stale (timed out or superseded): discard
-                }
-                match outcome {
-                    AttemptOutcome::Done(agg) => {
-                        self.log.record(
-                            shard,
-                            ShardEvent::Completed { attempt, sessions: agg.sessions() },
-                        );
-                        if let Some(dir) = self.campaign.plan().dir.clone() {
-                            self.checkpoint(&dir, &agg)?;
-                        }
-                        self.results[shard] = Some(*agg);
-                        self.live[shard] = None;
-                        self.unresolved -= 1;
-                        if self.campaign.plan().abort_after
-                            == Some(self.fresh_checkpoints)
-                        {
-                            return Ok(true);
-                        }
-                    }
-                    AttemptOutcome::Panicked(message) => {
-                        self.log.record(
-                            shard,
-                            ShardEvent::Panicked { attempt, message: message.clone() },
-                        );
-                        self.retry_or_quarantine(shard, attempt, || {
-                            QuarantineReason::Panicked(message)
-                        });
-                    }
-                    AttemptOutcome::Failed(message) => {
-                        self.log.record(
-                            shard,
-                            ShardEvent::Failed { attempt, message: message.clone() },
-                        );
-                        self.retry_or_quarantine(shard, attempt, || {
-                            QuarantineReason::Failed(message)
-                        });
-                    }
-                    // A Cancelled outcome for the *current* attempt cannot
-                    // arise from the watchdog (cancelling requeues first),
-                    // only from shutdown — by which point the loop has
-                    // exited. Discard defensively.
-                    AttemptOutcome::Cancelled => {}
-                }
-                Ok(false)
-            }
+    };
+    run.events.push(ShardEvent::Completed {
+        sessions: agg.sessions(),
+    });
+    if let Some(dir) = &plan.dir {
+        if crashed(slots.fetch_add(1, Ordering::Relaxed)) {
+            return run;
         }
-    }
-
-    fn checkpoint(&mut self, dir: &Path, agg: &ShardAggregate) -> Result<(), CampaignError> {
-        let identity = self.campaign.identity();
         let start = Instant::now();
-        checkpoint::write(dir, &identity, agg)?;
-        self.host.record(CHECKPOINT_WRITE_SPAN, start.elapsed());
-        self.log.record(agg.shard, ShardEvent::Checkpointed);
-        self.fresh_checkpoints += 1;
-        Ok(())
-    }
-
-    /// Cancels every live attempt whose watchdog deadline has passed and
-    /// requeues or quarantines its shard.
-    fn scan_watchdog(&mut self) {
-        let now = Instant::now();
-        let expired: Vec<(usize, u32)> = self
-            .live
-            .iter()
-            .enumerate()
-            .filter_map(|(shard, live)| {
-                let live = live.as_ref()?;
-                let deadline = live.deadline?;
-                (deadline <= now).then(|| {
-                    live.cancel.store(true, Ordering::Relaxed);
-                    (shard, live.attempt)
-                })
-            })
-            .collect();
-        for (shard, attempt) in expired {
-            self.log.record(shard, ShardEvent::TimedOut { attempt });
-            self.retry_or_quarantine(shard, attempt, || QuarantineReason::Hung);
+        if let Err(e) = checkpoint::write(dir, &campaign.identity(), &agg) {
+            run.result = Err(e);
+            return run;
         }
+        run.host.record(CHECKPOINT_WRITE_SPAN, start.elapsed());
+        run.events.push(ShardEvent::Checkpointed);
     }
+    run.result = Ok(ShardResult::Done(agg));
+    run
 }
 
 /// Counts existing shard checkpoints in `dir` (for the `DirNotEmpty`
@@ -340,10 +162,9 @@ fn existing_checkpoints(dir: &Path, shards: usize) -> usize {
 
 pub(crate) fn run<F>(campaign: &Campaign, body: &F) -> Result<CampaignOutcome, CampaignError>
 where
-    F: Fn(SessionSpec, &ShardCtx) -> Result<Vec<f64>, String> + Sync,
+    F: Fn(SessionSpec) -> Result<Vec<f64>, String> + Sync,
 {
     let plan = campaign.plan();
-    let threads = plan.resolved_threads().map_err(CampaignError::Threads)?.max(1);
     let identity = campaign.identity();
     let mut log = CampaignLog::new();
     let mut host = HostProfile::new();
@@ -358,15 +179,17 @@ where
         })?;
         let found = existing_checkpoints(dir, plan.shards);
         if found > 0 && !plan.resume {
-            return Err(CampaignError::DirNotEmpty { dir: dir.clone(), found });
+            return Err(CampaignError::DirNotEmpty {
+                dir: dir.clone(),
+                found,
+            });
         }
         if plan.resume {
             for (shard, slot) in results.iter_mut().enumerate() {
                 let start = Instant::now();
                 // A corrupt or mismatched checkpoint is a loud error here —
                 // never a silent recompute.
-                let loaded =
-                    checkpoint::load(dir, &identity, shard, plan.shard_range(shard))?;
+                let loaded = checkpoint::load(dir, &identity, shard, plan.shard_range(shard))?;
                 host.record(CHECKPOINT_LOAD_SPAN, start.elapsed());
                 if let Some(agg) = loaded {
                     log.record(shard, ShardEvent::Resumed);
@@ -377,63 +200,51 @@ where
         }
     }
 
+    // ---- Execute the missing shards on the sweep work queue. ----
     let pending: Vec<usize> = (0..plan.shards).filter(|&s| results[s].is_none()).collect();
-
-    // ---- Execute the missing shards. ----
-    let queue = Mutex::new(VecDeque::new());
-    let mut coord = Coordinator {
-        campaign,
-        queue: &queue,
-        live: (0..plan.shards).map(|_| None).collect(),
-        results,
-        quarantined: Vec::new(),
-        log,
-        host,
-        unresolved: pending.len(),
-        fresh_checkpoints: 0,
-    };
-    let mut aborted = false;
-    if !pending.is_empty() {
-        for &shard in &pending {
-            coord.enqueue(shard, 0, Instant::now());
-        }
-        let shutdown = AtomicBool::new(false);
-        let (tx, rx): (Sender<Msg>, Receiver<Msg>) = std::sync::mpsc::channel();
-        let run_result: Result<bool, CampaignError> = std::thread::scope(|scope| {
-            for _ in 0..threads.min(pending.len()) {
-                let tx = tx.clone();
-                let queue = coord.queue;
-                let shutdown = &shutdown;
-                scope.spawn(move || worker(campaign, body, queue, shutdown, &tx));
-            }
-            drop(tx);
-            let outcome = coordinate(&mut coord, &rx);
-            // Stop the workers and release any cooperative hangs before
-            // the scope joins.
-            shutdown.store(true, Ordering::Relaxed);
-            for live in coord.live.iter().flatten() {
-                live.cancel.store(true, Ordering::Relaxed);
-            }
-            coord.queue.lock().expect("campaign queue poisoned").clear();
-            outcome
+    // Checkpoint slots for crash injection. `Relaxed` suffices: the counter
+    // publishes no other data, `fetch_add` hands out unique slots at any
+    // ordering, and the sweep's scope join orders the final read.
+    let slots = AtomicUsize::new(0);
+    let runs = Sweep::new()
+        .threads(plan.threads)
+        .run(&pending, |_, &shard| {
+            run_shard(campaign, shard, body, &slots)
         });
-        aborted = run_result?;
-    }
 
-    if aborted {
-        return Err(CampaignError::Aborted { checkpointed: coord.fresh_checkpoints });
+    let mut quarantined = Vec::new();
+    for (&shard, run) in pending.iter().zip(runs) {
+        for event in run.events {
+            log.record(shard, event);
+        }
+        host.merge(&run.host);
+        match run.result? {
+            ShardResult::Done(agg) => results[shard] = Some(agg),
+            ShardResult::Quarantined(reason) => {
+                let range = plan.shard_range(shard);
+                quarantined.push(QuarantinedShard {
+                    shard,
+                    lo: range.start,
+                    hi: range.end,
+                    reason,
+                });
+            }
+            ShardResult::Skipped => {}
+        }
+    }
+    if let Some(k) = plan.abort_after {
+        let checkpointed = slots.into_inner().min(k);
+        if checkpointed == k {
+            return Err(CampaignError::Aborted { checkpointed });
+        }
     }
 
     // ---- Assemble: fixed ascending shard order ⇒ deterministic merge. ----
-    let mut completed: Vec<usize> = Vec::new();
-    let mut shard_aggs: Vec<ShardAggregate> = Vec::new();
-    for (shard, slot) in coord.results.iter().enumerate() {
-        if let Some(agg) = slot {
-            completed.push(shard);
-            shard_aggs.push(agg.clone());
-        }
-    }
-    coord.quarantined.sort_by_key(|q| q.shard);
+    let (completed, shard_aggs): (Vec<usize>, Vec<ShardAggregate>) = results
+        .into_iter()
+        .enumerate()
+        .filter_map(|(shard, slot)| Some((shard, slot?)))
+        .unzip();
     let aggregate = CampaignAggregate::merge_shards(campaign.series(), &shard_aggs);
     Ok(CampaignOutcome {
         name: plan.name.clone(),
@@ -441,47 +252,21 @@ where
         aggregate,
         completed,
         resumed,
-        quarantined: coord.quarantined,
-        log: coord.log,
-        host: coord.host,
+        quarantined,
+        log,
+        host,
     })
-}
-
-/// The coordinator loop: drains worker messages, arms the watchdog, and
-/// stops when every pending shard has resolved (completed or quarantined)
-/// or the injected crash fires (`Ok(true)`).
-fn coordinate(
-    coord: &mut Coordinator<'_>,
-    rx: &Receiver<Msg>,
-) -> Result<bool, CampaignError> {
-    while coord.unresolved > 0 {
-        match rx.recv_timeout(Duration::from_millis(2)) {
-            Ok(msg) => {
-                if coord.handle(msg)? {
-                    return Ok(true);
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => {
-                unreachable!("workers exited while shards were unresolved")
-            }
-        }
-        if coord.campaign.plan().watchdog.is_some() {
-            coord.scan_watchdog();
-        }
-    }
-    Ok(false)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CampaignPlan, CheckpointError};
+    use crate::CampaignPlan;
     use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("mee_campaign_run_{tag}_{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("mee_campaign_run_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -491,9 +276,8 @@ mod tests {
     }
 
     /// A deterministic pure-function body: two series derived from the
-    /// session seed alone (never from attempt or shard), as the
-    /// determinism contract requires.
-    fn clean_body(spec: SessionSpec, _ctx: &ShardCtx) -> Result<Vec<f64>, String> {
+    /// session seed alone, as the determinism contract requires.
+    fn clean_body(spec: SessionSpec) -> Result<Vec<f64>, String> {
         let x = (spec.seed >> 11) as f64 / (1u64 << 53) as f64;
         Ok(vec![x, spec.index as f64 + x])
     }
@@ -519,125 +303,112 @@ mod tests {
 
     #[test]
     fn kill_and_resume_is_bit_identical_to_uninterrupted() {
-        let ref_dir = tmp_dir("ref");
-        let kill_dir = tmp_dir("kill");
+        for threads in [2, 8] {
+            let ref_dir = tmp_dir(&format!("ref{threads}"));
+            let kill_dir = tmp_dir(&format!("kill{threads}"));
+            let plan = |dir: &PathBuf| {
+                CampaignPlan::new("t/resume", 2019, 17, 6)
+                    .threads(threads)
+                    .dir(dir)
+            };
 
-        // Uninterrupted reference at 2 threads.
-        let c = campaign(
-            CampaignPlan::new("t/resume", 2019, 17, 6).threads(2).dir(&ref_dir),
-        );
-        let reference = c.run(clean_body).unwrap();
-        assert!(reference.is_complete());
+            let reference = campaign(plan(&ref_dir)).run(clean_body).unwrap();
+            assert!(reference.is_complete());
 
-        // Same campaign, crash injected after 2 durable checkpoints.
-        let c = campaign(
-            CampaignPlan::new("t/resume", 2019, 17, 6)
-                .threads(2)
-                .dir(&kill_dir)
-                .abort_after(2),
-        );
-        match c.run(clean_body) {
-            Err(CampaignError::Aborted { checkpointed }) => assert_eq!(checkpointed, 2),
-            other => panic!("expected injected abort, got {other:?}"),
+            // Same campaign, crash injected after 2 durable checkpoints:
+            // exactly 2 shard files reach the disk, whatever the thread
+            // count.
+            match campaign(plan(&kill_dir).abort_after(2)).run(clean_body) {
+                Err(CampaignError::Aborted { checkpointed }) => assert_eq!(checkpointed, 2),
+                other => panic!("{threads} threads: expected injected abort, got {other:?}"),
+            }
+            assert_eq!(existing_checkpoints(&kill_dir, 6), 2, "{threads} threads");
+
+            // Resume at a *different* thread count.
+            let c = campaign(plan(&kill_dir).threads(7).resume(true));
+            let resumed = c.run(clean_body).unwrap();
+            assert!(resumed.is_complete());
+            assert_eq!(
+                resumed.resumed.len(),
+                2,
+                "exactly the checkpointed shards resume"
+            );
+            assert_eq!(resumed.log.count(|e| matches!(e, ShardEvent::Resumed)), 2);
+
+            // Byte-identical aggregate…
+            assert_eq!(reference.aggregate.render(), resumed.aggregate.render());
+            // …and byte-identical checkpoint files shard by shard.
+            for s in 0..6 {
+                let name = checkpoint::shard_file_name(s);
+                let a = std::fs::read(ref_dir.join(&name)).unwrap();
+                let b = std::fs::read(kill_dir.join(&name)).unwrap();
+                assert_eq!(a, b, "{threads} threads: shard {s} checkpoint differs");
+            }
+
+            let _ = std::fs::remove_dir_all(&ref_dir);
+            let _ = std::fs::remove_dir_all(&kill_dir);
         }
-
-        // Resume at a *different* thread count.
-        let c = campaign(
-            CampaignPlan::new("t/resume", 2019, 17, 6)
-                .threads(7)
-                .dir(&kill_dir)
-                .resume(true),
-        );
-        let resumed = c.run(clean_body).unwrap();
-        assert!(resumed.is_complete());
-        assert_eq!(resumed.resumed.len(), 2, "exactly the checkpointed shards resume");
-        assert_eq!(
-            resumed.log.count(|e| matches!(e, ShardEvent::Resumed)),
-            2
-        );
-
-        // Byte-identical aggregate…
-        assert_eq!(reference.aggregate.render(), resumed.aggregate.render());
-        // …and byte-identical checkpoint files shard by shard.
-        for s in 0..6 {
-            let name = checkpoint::shard_file_name(s);
-            let a = std::fs::read(ref_dir.join(&name)).unwrap();
-            let b = std::fs::read(kill_dir.join(&name)).unwrap();
-            assert_eq!(a, b, "shard {s} checkpoint differs");
-        }
-
-        let _ = std::fs::remove_dir_all(&ref_dir);
-        let _ = std::fs::remove_dir_all(&kill_dir);
     }
 
     #[test]
     fn panicking_shard_is_quarantined_and_the_rest_completes() {
-        let c = campaign(CampaignPlan::new("t/panic", 7, 12, 4).threads(3).retries(1));
+        let c = campaign(CampaignPlan::new("t/panic", 7, 12, 4).threads(3));
         let bad = c.plan().shard_range(2);
         let out = c
-            .run(|spec, _ctx| {
-                if (bad.start..bad.end).contains(&spec.index) {
+            .run(|spec| {
+                if bad.contains(&spec.index) {
                     panic!("synthetic fault at session {}", spec.index);
                 }
-                clean_body(spec, _ctx)
+                clean_body(spec)
             })
             .unwrap();
         assert!(!out.is_complete());
         assert_eq!(out.completed, vec![0, 1, 3]);
         assert_eq!(out.quarantined.len(), 1);
         let q = &out.quarantined[0];
-        assert_eq!((q.shard, q.lo, q.hi, q.attempts), (2, bad.start, bad.end, 2));
+        assert_eq!((q.shard, q.lo, q.hi), (2, bad.start, bad.end));
         match &q.reason {
             QuarantineReason::Panicked(msg) => {
                 assert!(msg.contains("synthetic fault"), "{msg}");
-                assert!(msg.contains("seed 0x"), "{msg}");
+                assert!(
+                    msg.contains(&format!("session {} (seed 0x", bad.start)),
+                    "{msg}"
+                );
                 assert!(msg.contains("replay: rerun session"), "{msg}");
             }
             other => panic!("expected Panicked, got {other:?}"),
         }
-        assert_eq!(out.missing_sessions(), (bad.start..bad.end).collect::<Vec<_>>());
-        assert_eq!(out.aggregate.sessions, (12 - (bad.end - bad.start)) as u64);
+        assert_eq!(
+            out.log.shard(2),
+            [
+                ShardEvent::Started,
+                ShardEvent::Quarantined {
+                    reason: q.reason.to_string()
+                },
+            ]
+        );
+        assert_eq!(out.missing_sessions(), bad.clone().collect::<Vec<_>>());
+        assert_eq!(out.aggregate.sessions, (12 - bad.len()) as u64);
         let report = out.quarantine_report();
         assert!(report.contains("quarantined shard 2"), "{report}");
         assert!(report.contains("stream_seed(7, i)"), "{report}");
     }
 
     #[test]
-    fn flaky_panic_recovers_on_retry_with_identical_results() {
-        let c = campaign(CampaignPlan::new("t/flaky", 2019, 10, 3).threads(2).retries(2));
+    fn failing_session_is_quarantined_with_recipe() {
+        let c = campaign(CampaignPlan::new("t/fail", 11, 8, 2).threads(2));
         let out = c
-            .run(|spec, ctx| {
-                if ctx.shard == 1 && ctx.attempt == 0 {
-                    panic!("transient fault");
-                }
-                clean_body(spec, ctx)
-            })
-            .unwrap();
-        assert!(out.is_complete());
-        assert_eq!(out.log.count(|e| matches!(e, ShardEvent::Panicked { .. })), 1);
-        assert_eq!(out.log.count(|e| matches!(e, ShardEvent::Requeued { .. })), 1);
-
-        // The retried campaign aggregate matches a fault-free run exactly.
-        let clean = campaign(CampaignPlan::new("t/flaky", 2019, 10, 3).threads(2))
-            .run(clean_body)
-            .unwrap();
-        assert_eq!(out.aggregate.render(), clean.aggregate.render());
-    }
-
-    #[test]
-    fn failing_session_is_retried_then_quarantined_with_recipe() {
-        let c = campaign(CampaignPlan::new("t/fail", 11, 8, 2).threads(2).retries(1));
-        let out = c
-            .run(|spec, ctx| {
-                if ctx.shard == 0 && spec.index == 1 {
+            .run(|spec| {
+                if spec.index == 1 {
                     return Err("detector refused to converge".into());
                 }
-                clean_body(spec, ctx)
+                clean_body(spec)
             })
             .unwrap();
         assert!(!out.is_complete());
+        assert_eq!(out.completed, vec![1]);
         let q = &out.quarantined[0];
-        assert_eq!(q.attempts, 2);
+        assert_eq!((q.shard, q.lo, q.hi), (0, 0, 4));
         match &q.reason {
             QuarantineReason::Failed(msg) => {
                 assert!(msg.contains("session 1"), "{msg}");
@@ -649,55 +420,27 @@ mod tests {
     }
 
     #[test]
-    fn hung_shard_is_timed_out_and_quarantined() {
-        let c = campaign(
-            CampaignPlan::new("t/hang", 3, 6, 3)
-                .threads(2)
-                .retries(0)
-                .watchdog(Duration::from_millis(40)),
-        );
+    fn faulting_shard_runs_each_session_once_up_to_the_fault() {
+        // A pure body that always fails at session 5 (the second session
+        // of shard 1): the shard is quarantined after one call per session
+        // up to and including the fault — no rerun, because rerunning a
+        // pure function of the spec would only reproduce the fault.
+        let calls: Vec<AtomicUsize> = (0..12).map(|_| AtomicUsize::new(0)).collect();
+        let c = campaign(CampaignPlan::new("t/once", 5, 12, 3).threads(2));
         let out = c
-            .run(|spec, ctx| {
-                if ctx.shard == 1 {
-                    // Cooperative hang: spins until the watchdog cancels.
-                    while !ctx.is_cancelled() {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    return Err("unreachable: result is stale once cancelled".into());
+            .run(|spec| {
+                calls[spec.index].fetch_add(1, Ordering::Relaxed);
+                if spec.index == 5 {
+                    return Err("always fails".into());
                 }
-                clean_body(spec, ctx)
+                clean_body(spec)
             })
             .unwrap();
-        assert!(!out.is_complete());
+        assert_eq!(out.completed, vec![0, 2]);
         assert_eq!(out.quarantined.len(), 1);
         assert_eq!(out.quarantined[0].shard, 1);
-        assert_eq!(out.quarantined[0].reason, QuarantineReason::Hung);
-        assert!(out.log.count(|e| matches!(e, ShardEvent::TimedOut { .. })) >= 1);
-        assert_eq!(out.completed, vec![0, 2]);
-    }
-
-    #[test]
-    fn flaky_hang_is_requeued_and_the_campaign_completes() {
-        let c = campaign(
-            CampaignPlan::new("t/flakyhang", 5, 6, 2)
-                .threads(2)
-                .retries(1)
-                .watchdog(Duration::from_millis(40)),
-        );
-        let out = c
-            .run(|spec, ctx| {
-                if ctx.shard == 0 && ctx.attempt == 0 {
-                    while !ctx.is_cancelled() {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    return Err("stale".into());
-                }
-                clean_body(spec, ctx)
-            })
-            .unwrap();
-        assert!(out.is_complete(), "report: {}", out.quarantine_report());
-        assert!(out.log.count(|e| matches!(e, ShardEvent::TimedOut { .. })) >= 1);
-        assert!(out.log.count(|e| matches!(e, ShardEvent::Requeued { .. })) >= 1);
+        let counts: Vec<usize> = calls.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+        assert_eq!(counts, [1, 1, 1, 1, 1, 1, 0, 0, 1, 1, 1, 1]);
     }
 
     #[test]
@@ -742,10 +485,7 @@ mod tests {
         let out = c.run(clean_body).unwrap();
         assert_eq!(out.host.span(SHARD_SPAN).unwrap().count, 4);
         assert_eq!(out.host.span(CHECKPOINT_WRITE_SPAN).unwrap().count, 4);
-        assert_eq!(
-            out.log.count(|e| matches!(e, ShardEvent::Checkpointed)),
-            4
-        );
+        assert_eq!(out.log.count(|e| matches!(e, ShardEvent::Checkpointed)), 4);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,52 +1,27 @@
-//! Crash-safe campaign drivers: the experiment sweeps of [`super::sweep`]
+//! The crash-safe channel campaign: the channel sweep of [`super::sweep`]
 //! scaled up through [`mee_campaign`].
 //!
 //! A sweep returns every per-session point in memory; a *campaign* streams
 //! sessions into constant-memory aggregates, checkpoints completed shards,
-//! and survives kills, per-shard panics, and hangs. Each driver here fixes
-//! the series schema and the body-version tag (bump the tag whenever the
-//! session computation changes — it invalidates stale checkpoints instead
-//! of silently mixing incompatible runs), then delegates session execution
-//! to the same experiment code the plain sweeps use: session `i` of root
-//! seed `r` is exactly the standalone experiment at seed `stream_seed(r,
-//! i)`, so every campaign number is replayable one session at a time.
+//! and survives kills and per-shard faults. The driver fixes the series
+//! schema and the body-version tag (bump the tag whenever the session
+//! computation changes — it invalidates stale checkpoints instead of
+//! silently mixing incompatible runs), then runs the same
+//! [`channel_session`] the plain sweep runs: session `i` of root seed `r`
+//! is exactly the standalone session at seed `stream_seed(r, i)`, so every
+//! campaign number is replayable one session at a time.
 
 use mee_campaign::{Campaign, CampaignError, CampaignOutcome, CampaignPlan};
-use mee_types::Cycles;
 
-use crate::channel::{random_bits, ChannelConfig, Session};
-use crate::setup::AttackSetup;
+use crate::channel::ChannelConfig;
 
-use super::fig5::run_fig5;
-use super::fig6::run_fig6_with;
+use super::sweep::channel_session;
 
 /// Series schema of a channel campaign, in order.
 pub const CHANNEL_SERIES: [&str; 5] =
     ["ber", "kbps", "elapsed_cycles", "probe_p50_cycles", "probe_p95_cycles"];
 
-/// Series schema of a Fig. 5 campaign, in order.
-pub const FIG5_SERIES: [&str; 3] = ["lat_mean_cycles", "lat_p95_cycles", "samples"];
-
-/// Series schema of a Fig. 6 campaign, in order.
-pub const FIG6_SERIES: [&str; 3] = ["prime_probe_ber", "this_work_ber", "this_work_kbps"];
-
-fn series_vec(names: &[&str]) -> Vec<String> {
-    names.iter().map(|s| (*s).to_owned()).collect()
-}
-
-fn percentile(sorted: &[u64], p: f64) -> f64 {
-    debug_assert!(!sorted.is_empty());
-    let rank = (p / 100.0 * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)] as f64
-}
-
-fn sorted_raw(times: &[Cycles]) -> Vec<u64> {
-    let mut xs: Vec<u64> = times.iter().map(|t| t.raw()).collect();
-    xs.sort_unstable();
-    xs
-}
-
-/// Runs a channel campaign: one end-to-end session (establish + transmit
+/// Runs a channel campaign: one [`channel_session`] (establish + transmit
 /// of `bits` seed-derived random bits) per campaign session, aggregated
 /// into the [`CHANNEL_SERIES`] schema.
 ///
@@ -54,74 +29,23 @@ fn sorted_raw(times: &[Cycles]) -> Vec<u64> {
 ///
 /// [`CampaignError`] for orchestration faults (corrupt checkpoint,
 /// non-empty dir, injected abort…). Per-session model errors do **not**
-/// fail the campaign — their shard retries and then quarantines, and the
-/// outcome reports exactly which sessions are missing.
+/// fail the campaign — their shard is quarantined, and the outcome reports
+/// exactly which sessions are missing.
 pub fn run_channel_campaign(
     plan: CampaignPlan,
     cfg: &ChannelConfig,
     bits: usize,
 ) -> Result<CampaignOutcome, CampaignError> {
-    let campaign = Campaign::new(plan, series_vec(&CHANNEL_SERIES), "channel/v1")?;
-    campaign.run(|spec, _ctx| {
-        let mut setup = AttackSetup::new(spec.seed).map_err(|e| e.to_string())?;
-        let session = Session::establish(&mut setup, cfg).map_err(|e| e.to_string())?;
-        let payload = random_bits(bits, spec.seed);
-        let out = session.transmit(&mut setup, &payload).map_err(|e| e.to_string())?;
-        let probes = sorted_raw(&out.probe_times);
+    let series = CHANNEL_SERIES.iter().map(|s| (*s).to_owned()).collect();
+    let campaign = Campaign::new(plan, series, "channel/v1")?;
+    campaign.run(|spec| {
+        let p = channel_session(spec, cfg, bits).map_err(|e| e.to_string())?;
         Ok(vec![
-            out.errors.count() as f64 / bits as f64,
-            out.kbps,
-            out.elapsed.raw() as f64,
-            percentile(&probes, 50.0),
-            percentile(&probes, 95.0),
-        ])
-    })
-}
-
-/// Runs a Fig. 5 latency-census campaign (`samples` addresses per stride,
-/// `passes` timed passes per session) under the [`FIG5_SERIES`] schema.
-///
-/// # Errors
-///
-/// As [`run_channel_campaign`].
-pub fn run_fig5_campaign(
-    plan: CampaignPlan,
-    samples: usize,
-    passes: usize,
-) -> Result<CampaignOutcome, CampaignError> {
-    let campaign = Campaign::new(plan, series_vec(&FIG5_SERIES), "fig5/v1")?;
-    campaign.run(|spec, _ctx| {
-        let result = run_fig5(spec.seed, samples, passes).map_err(|e| e.to_string())?;
-        let census = result.pooled();
-        let lats = sorted_raw(
-            &census.samples.iter().map(|s| s.latency).collect::<Vec<_>>(),
-        );
-        if lats.is_empty() {
-            return Err("fig5 census produced no samples".into());
-        }
-        let mean = lats.iter().sum::<u64>() as f64 / lats.len() as f64;
-        Ok(vec![mean, percentile(&lats, 95.0), lats.len() as f64])
-    })
-}
-
-/// Runs a Fig. 6 contrast campaign (both panels, `bits` alternating bits
-/// each) under the [`FIG6_SERIES`] schema.
-///
-/// # Errors
-///
-/// As [`run_channel_campaign`].
-pub fn run_fig6_campaign(
-    plan: CampaignPlan,
-    bits: usize,
-    cfg: &ChannelConfig,
-) -> Result<CampaignOutcome, CampaignError> {
-    let campaign = Campaign::new(plan, series_vec(&FIG6_SERIES), "fig6/v1")?;
-    campaign.run(|spec, _ctx| {
-        let r = run_fig6_with(spec.seed, bits, cfg).map_err(|e| e.to_string())?;
-        Ok(vec![
-            r.prime_probe.errors.count() as f64 / bits as f64,
-            r.this_work.errors.count() as f64 / bits as f64,
-            r.this_work.kbps,
+            p.error_rate(),
+            p.kbps,
+            p.elapsed.raw() as f64,
+            p.probe_p50.raw() as f64,
+            p.probe_p95.raw() as f64,
         ])
     })
 }
@@ -161,22 +85,5 @@ mod tests {
         let kbps = outcome.aggregate.series("kbps").unwrap();
         let sweep_mean_kbps = sweep.iter().map(|p| p.kbps).sum::<f64>() / sweep.len() as f64;
         assert!((kbps.stats.mean - sweep_mean_kbps).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fig6_campaign_reports_the_paper_contrast() {
-        let cfg = ChannelConfig::sweep_setup();
-        let outcome = run_fig6_campaign(
-            CampaignPlan::new("test/fig6", 7, 2, 2).threads(2),
-            8,
-            &cfg,
-        )
-        .unwrap();
-        assert!(outcome.is_complete());
-        let pp = outcome.aggregate.series("prime_probe_ber").unwrap().stats.mean;
-        let tw = outcome.aggregate.series("this_work_ber").unwrap().stats.mean;
-        // The qualitative Fig. 6 claim: the paper's channel is cleaner than
-        // the Prime+Probe baseline.
-        assert!(tw <= pp, "this-work BER {tw} should not exceed Prime+Probe BER {pp}");
     }
 }

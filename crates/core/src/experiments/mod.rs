@@ -22,10 +22,7 @@ pub mod timers;
 pub mod wide;
 
 pub use ablation::{run_ablation, AblationResult};
-pub use campaign::{
-    run_channel_campaign, run_fig5_campaign, run_fig6_campaign, CHANNEL_SERIES, FIG5_SERIES,
-    FIG6_SERIES,
-};
+pub use campaign::{run_channel_campaign, CHANNEL_SERIES};
 pub use fig4::{run_fig4, Fig4Result};
 pub use fig5::{run_fig5, Fig5Result};
 pub use fig6::{run_fig6, run_fig6_with, Fig6Result};
@@ -38,7 +35,7 @@ pub use resilience::{
 };
 pub use stealth::{run_stealth, StealthResult};
 pub use sweep::{
-    run_channel_sweep, run_fig5_sweep, run_fig6_sweep, ChannelSweepPoint, Fig5Sweep, Fig6Sweep,
+    channel_session, run_channel_sweep, run_fig6_sweep, ChannelSweepPoint, Fig6Sweep,
     PooledContrast, SweepPlan,
 };
 pub use timers::{run_timers, TimersResult};

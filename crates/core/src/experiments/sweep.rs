@@ -16,10 +16,8 @@ use mee_sweep::{SessionSpec, Sweep};
 use mee_types::{Cycles, ModelError};
 
 use crate::channel::{random_bits, ChannelConfig, Session};
-use crate::recon::latency::LatencyCensus;
 use crate::setup::AttackSetup;
 
-use super::fig5::{run_fig5, Fig5Result};
 use super::fig6::{run_fig6_with, Fig6Result};
 
 /// A pooled multi-session run: root seed, session count, thread override.
@@ -29,13 +27,13 @@ pub struct SweepPlan {
     pub root_seed: u64,
     /// Number of independent sessions to pool.
     pub sessions: usize,
-    /// Worker-thread override; `None` uses `MEE_SWEEP_THREADS` or the
-    /// host's available parallelism.
+    /// Worker-thread override; `None` uses the host's available
+    /// parallelism.
     pub threads: Option<usize>,
 }
 
 impl SweepPlan {
-    /// A plan with the environment-default thread count.
+    /// A plan with the host-default thread count.
     pub fn new(root_seed: u64, sessions: usize) -> Self {
         SweepPlan {
             root_seed,
@@ -97,9 +95,41 @@ fn percentile_cycles(sorted: &[u64], p: f64) -> Cycles {
     Cycles::new(sorted[rank.min(sorted.len() - 1)])
 }
 
-/// Runs `plan.sessions` independent end-to-end channel sessions (noisy
-/// machine, establish + transmit of `bits` seed-derived random bits each)
-/// and returns one [`ChannelSweepPoint`] per session, in session order.
+/// One end-to-end channel session — the body every channel sweep,
+/// campaign and the `bench-sweep` binary run: a fresh noisy machine seeded
+/// with `spec.seed`, establishment under `cfg`, then a transmission of
+/// `bits` seed-derived random bits, reduced to a [`ChannelSweepPoint`]
+/// (probe percentiles are nearest-rank over the sorted probe times).
+///
+/// # Errors
+///
+/// Propagates machine-construction, establishment and transmission
+/// errors.
+pub fn channel_session(
+    spec: SessionSpec,
+    cfg: &ChannelConfig,
+    bits: usize,
+) -> Result<ChannelSweepPoint, ModelError> {
+    let mut setup = AttackSetup::new(spec.seed)?;
+    let session = Session::establish(&mut setup, cfg)?;
+    let payload = random_bits(bits, spec.seed);
+    let out = session.transmit(&mut setup, &payload)?;
+    let mut probes: Vec<u64> = out.probe_times.iter().map(|t| t.raw()).collect();
+    probes.sort_unstable();
+    Ok(ChannelSweepPoint {
+        index: spec.index,
+        seed: spec.seed,
+        bits,
+        bit_errors: out.errors.count(),
+        kbps: out.kbps,
+        elapsed: out.elapsed,
+        probe_p50: percentile_cycles(&probes, 50.0),
+        probe_p95: percentile_cycles(&probes, 95.0),
+    })
+}
+
+/// Runs `plan.sessions` independent [`channel_session`]s and returns one
+/// [`ChannelSweepPoint`] per session, in session order.
 ///
 /// # Errors
 ///
@@ -110,24 +140,7 @@ pub fn run_channel_sweep(
     bits: usize,
 ) -> Result<Vec<ChannelSweepPoint>, ModelError> {
     plan.runner()
-        .try_seed_sweep(plan.root_seed, plan.sessions, |spec| {
-            let mut setup = AttackSetup::new(spec.seed)?;
-            let session = Session::establish(&mut setup, cfg)?;
-            let payload = random_bits(bits, spec.seed);
-            let out = session.transmit(&mut setup, &payload)?;
-            let mut probes: Vec<u64> = out.probe_times.iter().map(|t| t.raw()).collect();
-            probes.sort_unstable();
-            Ok(ChannelSweepPoint {
-                index: spec.index,
-                seed: spec.seed,
-                bits,
-                bit_errors: out.errors.count(),
-                kbps: out.kbps,
-                elapsed: out.elapsed,
-                probe_p50: percentile_cycles(&probes, 50.0),
-                probe_p95: percentile_cycles(&probes, 95.0),
-            })
-        })
+        .try_seed_sweep(plan.root_seed, plan.sessions, |spec| channel_session(spec, cfg, bits))
 }
 
 /// Pooled error counts of a Fig. 6 sweep: both panels over every session.
@@ -194,46 +207,6 @@ pub fn run_fig6_sweep(
             run_fig6_with(spec.seed, bits, cfg).map(|r| (spec, r))
         })?;
     Ok(Fig6Sweep { sessions })
-}
-
-/// A Fig. 5 seed sweep: one full latency census per session.
-#[derive(Debug, Clone)]
-pub struct Fig5Sweep {
-    /// Per-session spec and result, in session order.
-    pub sessions: Vec<(SessionSpec, Fig5Result)>,
-}
-
-impl Fig5Sweep {
-    /// Pools every sample of every session into one census.
-    pub fn pooled(&self) -> LatencyCensus {
-        LatencyCensus {
-            stride: 0,
-            samples: self
-                .sessions
-                .iter()
-                .flat_map(|(_, r)| r.pooled().samples)
-                .collect(),
-        }
-    }
-}
-
-/// Runs [`run_fig5`] once per session of `plan` (`samples` addresses per
-/// stride, `passes` timed passes).
-///
-/// # Errors
-///
-/// Returns the lowest-indexed failing session's error, deterministically.
-pub fn run_fig5_sweep(
-    plan: &SweepPlan,
-    samples: usize,
-    passes: usize,
-) -> Result<Fig5Sweep, ModelError> {
-    let sessions = plan
-        .runner()
-        .try_seed_sweep(plan.root_seed, plan.sessions, |spec| {
-            run_fig5(spec.seed, samples, passes).map(|r| (spec, r))
-        })?;
-    Ok(Fig5Sweep { sessions })
 }
 
 #[cfg(test)]

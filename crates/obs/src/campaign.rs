@@ -1,8 +1,8 @@
 //! Campaign-level observability: the phase/fault event log of a sharded
 //! campaign run.
 //!
-//! A campaign is a *host-level* orchestration — shards start, checkpoint,
-//! panic, time out, get retried, get quarantined. None of that happens in
+//! A campaign is a *host-level* orchestration — shards start, complete,
+//! checkpoint, resume, get quarantined. None of that happens in
 //! simulated time, so these events deliberately do **not** reuse the
 //! sim-cycle [`Event`](crate::Event) taxonomy; they are their own typed
 //! log, keyed by shard so rendering is deterministic (shard order, then
@@ -20,15 +20,10 @@ use std::fmt;
 /// One lifecycle event of one shard of a campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardEvent {
-    /// An attempt at the shard began executing on a worker.
-    Started {
-        /// 0-based attempt number (0 = first try).
-        attempt: u32,
-    },
+    /// The shard began executing on a worker.
+    Started,
     /// The shard finished cleanly and its aggregate was accepted.
     Completed {
-        /// The attempt that succeeded.
-        attempt: u32,
         /// Sessions the shard covered.
         sessions: u64,
     },
@@ -37,39 +32,11 @@ pub enum ShardEvent {
     /// The shard was restored from an existing checkpoint instead of
     /// re-executing (crash-resume path).
     Resumed,
-    /// The shard's body panicked; the payload is preserved.
-    Panicked {
-        /// The attempt that panicked.
-        attempt: u32,
-        /// The (string-rendered) panic payload.
-        message: String,
-    },
-    /// The shard's body returned a session error.
-    Failed {
-        /// The attempt that failed.
-        attempt: u32,
-        /// The session error, rendered.
-        message: String,
-    },
-    /// The watchdog timed the attempt out and cancelled it.
-    TimedOut {
-        /// The attempt that was abandoned.
-        attempt: u32,
-    },
-    /// The shard was put back on the queue for another attempt.
-    Requeued {
-        /// The attempt number the shard will retry as.
-        attempt: u32,
-        /// The deterministic exponential-backoff delay before the retry
-        /// becomes eligible, in milliseconds.
-        backoff_ms: u64,
-    },
-    /// The retry budget is exhausted; the shard is excluded from the
-    /// aggregate and reported in the quarantine list.
+    /// A session of the shard panicked or failed; the shard is excluded
+    /// from the aggregate and reported in the quarantine list.
     Quarantined {
-        /// Total attempts consumed (including the first).
-        attempts: u32,
-        /// Why the final attempt was rejected.
+        /// The fault, rendered (it says whether the session panicked or
+        /// failed, and carries the replay recipe).
         reason: String,
     },
 }
@@ -77,34 +44,20 @@ pub enum ShardEvent {
 impl fmt::Display for ShardEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ShardEvent::Started { attempt } => write!(f, "started attempt={attempt}"),
-            ShardEvent::Completed { attempt, sessions } => {
-                write!(f, "completed attempt={attempt} sessions={sessions}")
-            }
+            ShardEvent::Started => write!(f, "started"),
+            ShardEvent::Completed { sessions } => write!(f, "completed sessions={sessions}"),
             ShardEvent::Checkpointed => write!(f, "checkpointed"),
             ShardEvent::Resumed => write!(f, "resumed-from-checkpoint"),
-            ShardEvent::Panicked { attempt, message } => {
-                write!(f, "panicked attempt={attempt}: {message}")
-            }
-            ShardEvent::Failed { attempt, message } => {
-                write!(f, "failed attempt={attempt}: {message}")
-            }
-            ShardEvent::TimedOut { attempt } => write!(f, "timed-out attempt={attempt}"),
-            ShardEvent::Requeued { attempt, backoff_ms } => {
-                write!(f, "requeued attempt={attempt} backoff_ms={backoff_ms}")
-            }
-            ShardEvent::Quarantined { attempts, reason } => {
-                write!(f, "quarantined attempts={attempts}: {reason}")
-            }
+            ShardEvent::Quarantined { reason } => write!(f, "quarantined: {reason}"),
         }
     }
 }
 
 /// The per-shard event log of one campaign run.
 ///
-/// Events are appended by the (single-threaded) campaign coordinator, so
-/// within a shard the order is exactly occurrence order; across shards the
-/// log imposes shard-index order, which makes [`CampaignLog::render`]
+/// Events are appended by the campaign runner once the shards resolve,
+/// so within a shard the order is exactly occurrence order; across shards
+/// the log imposes shard-index order, which makes [`CampaignLog::render`]
 /// deterministic for deterministic shard bodies regardless of worker
 /// scheduling.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -159,26 +112,24 @@ mod tests {
     #[test]
     fn render_orders_by_shard_then_occurrence() {
         let mut log = CampaignLog::new();
-        log.record(2, ShardEvent::Started { attempt: 0 });
-        log.record(0, ShardEvent::Started { attempt: 0 });
-        log.record(2, ShardEvent::Completed { attempt: 0, sessions: 4 });
-        log.record(0, ShardEvent::Panicked { attempt: 0, message: "boom".into() });
-        log.record(0, ShardEvent::Requeued { attempt: 1, backoff_ms: 10 });
+        log.record(2, ShardEvent::Started);
+        log.record(0, ShardEvent::Started);
+        log.record(2, ShardEvent::Completed { sessions: 4 });
+        log.record(0, ShardEvent::Quarantined { reason: "panicked: boom".into() });
         let rendered = log.render();
-        let expected = "shard 0: started attempt=0\n\
-                        shard 0: panicked attempt=0: boom\n\
-                        shard 0: requeued attempt=1 backoff_ms=10\n\
-                        shard 2: started attempt=0\n\
-                        shard 2: completed attempt=0 sessions=4\n";
+        let expected = "shard 0: started\n\
+                        shard 0: quarantined: panicked: boom\n\
+                        shard 2: started\n\
+                        shard 2: completed sessions=4\n";
         assert_eq!(rendered, expected);
     }
 
     #[test]
     fn count_and_shard_accessors() {
         let mut log = CampaignLog::new();
-        log.record(1, ShardEvent::TimedOut { attempt: 0 });
-        log.record(1, ShardEvent::Quarantined { attempts: 2, reason: "hung".into() });
-        assert_eq!(log.count(|e| matches!(e, ShardEvent::TimedOut { .. })), 1);
+        log.record(1, ShardEvent::Started);
+        log.record(1, ShardEvent::Quarantined { reason: "failed: no such process".into() });
+        assert_eq!(log.count(|e| matches!(e, ShardEvent::Quarantined { .. })), 1);
         assert_eq!(log.shard(1).len(), 2);
         assert!(log.shard(0).is_empty());
     }
@@ -188,7 +139,7 @@ mod tests {
         let events = [
             ShardEvent::Checkpointed,
             ShardEvent::Resumed,
-            ShardEvent::Failed { attempt: 3, message: "no such process".into() },
+            ShardEvent::Quarantined { reason: "failed: no such process".into() },
         ];
         for e in &events {
             assert!(!e.to_string().contains('\n'));

@@ -19,11 +19,11 @@
 //!
 //! A fourth, host-level concern sits beside them: [`campaign`] is the
 //! typed phase/fault event log of a sharded campaign run (shard started /
-//! checkpointed / panicked / timed out / quarantined), keyed by shard so
+//! completed / checkpointed / resumed / quarantined), keyed by shard so
 //! its rendering is deterministic even though shards execute concurrently.
 //!
 //! This crate sits just above `mee-types` in the layer map so every
-//! simulator layer (engine, machine, faults, channel, sweep, bench) can
+//! simulator layer (engine, machine, faults, channel, campaign, bench) can
 //! use it without cycles. It reads no environment variable: the binaries
 //! resolve the `MEE_TRACE` knob (`mee-bench`) and pass a capacity in.
 

@@ -87,20 +87,6 @@ pub fn parse_nonempty(name: &'static str, value: &str) -> Result<String, EnvKnob
     }
 }
 
-/// Reads a non-empty-string knob from the environment. Returns `None` when
-/// the variable is unset.
-///
-/// # Panics
-///
-/// Panics with the [`EnvKnobError`] message when the variable is set but
-/// empty (or whitespace-only) — an override must never silently fall back
-/// to a default.
-pub fn nonempty_from_env(name: &'static str) -> Option<String> {
-    std::env::var(name)
-        .ok()
-        .map(|v| parse_nonempty(name, &v).unwrap_or_else(|e| panic!("{e}")))
-}
-
 /// Reads a positive-integer knob from the environment. Returns `None` when
 /// the variable is unset.
 ///
@@ -164,7 +150,6 @@ mod tests {
     fn env_readers_return_none_when_unset() {
         assert_eq!(positive_from_env::<usize>("MEE_UNSET_KNOB_A"), None);
         assert_eq!(unsigned_from_env::<u64>("MEE_UNSET_KNOB_B"), None);
-        assert_eq!(nonempty_from_env("MEE_UNSET_KNOB_C"), None);
     }
 
     #[test]

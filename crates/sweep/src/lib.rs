@@ -20,8 +20,9 @@
 //!   or 64.
 //!
 //! The thread count defaults to the host's available parallelism and can
-//! be pinned with the `MEE_SWEEP_THREADS` environment variable (or
-//! [`Sweep::threads`] in code). Determinism never depends on it.
+//! be pinned with [`Sweep::with_threads`] or [`Sweep::threads`]; binaries
+//! resolve any environment override themselves and pass the count in.
+//! Determinism never depends on it.
 //!
 //! ```
 //! use mee_sweep::Sweep;
@@ -34,9 +35,7 @@
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
-use mee_obs::HostProfile;
 use mee_rng::stream_seed;
 
 /// Renders a caught panic payload for re-propagation with shard context.
@@ -54,57 +53,6 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "<non-string panic payload>".to_owned()
     }
-}
-
-/// The [`HostProfile`] span name under which [`Sweep::run_profiled`]
-/// records each worker's shard: one `record_n` per worker, with the count
-/// of sessions that worker drained and the wall-clock time it spent
-/// draining them.
-pub const SHARD_SPAN: &str = "sweep_shard";
-
-/// Environment variable pinning the worker-thread count of every sweep
-/// built with [`Sweep::new`].
-pub const THREADS_ENV: &str = "MEE_SWEEP_THREADS";
-
-/// A rejected `MEE_SWEEP_THREADS` override: the raw value that failed to
-/// parse as a positive thread count (zero, negative, non-numeric, or
-/// overflowing `usize`).
-///
-/// Mirrors the policy of the bench harness's argument parsing: a typo'd
-/// override is a hard error with the offending value echoed back, never a
-/// silent fallback to a default.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ThreadsEnvError {
-    /// The offending raw value of the variable.
-    pub value: String,
-}
-
-impl std::fmt::Display for ThreadsEnvError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "invalid {THREADS_ENV} value {:?} (must be a positive integer, e.g. {THREADS_ENV}=4)",
-            self.value
-        )
-    }
-}
-
-impl std::error::Error for ThreadsEnvError {}
-
-/// Parses a `MEE_SWEEP_THREADS` override.
-///
-/// # Errors
-///
-/// Returns a [`ThreadsEnvError`] echoing the value when it is not a
-/// positive integer that fits in `usize` (`"0"`, `"-2"`, `"many"`, and
-/// a 30-digit overflow all fail the same way).
-pub fn parse_threads_override(value: &str) -> Result<usize, ThreadsEnvError> {
-    // Delegates to the workspace-wide knob grammar so MEE_SWEEP_THREADS
-    // accepts and rejects exactly what MEE_PROP_CASES / MEE_CAMPAIGN_SHARDS
-    // do; the sweep-specific error type stays for API stability.
-    mee_rng::env_knob::parse_positive::<usize>(THREADS_ENV, value).map_err(|_| ThreadsEnvError {
-        value: value.to_owned(),
-    })
 }
 
 /// One session of a seed sweep: its position in the sweep and the RNG seed
@@ -163,32 +111,10 @@ impl Default for Sweep {
 }
 
 impl Sweep {
-    /// A sweep sized from the environment: `MEE_SWEEP_THREADS` if set,
-    /// otherwise the host's available parallelism.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `MEE_SWEEP_THREADS` is set but not a positive integer — a
-    /// typo'd override must never silently fall back to a default. Use
-    /// [`Sweep::from_env`] to handle the error instead.
+    /// A sweep with one worker per unit of the host's available
+    /// parallelism (one worker when it cannot be determined).
     pub fn new() -> Self {
-        Self::from_env().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The fallible form of [`Sweep::new`]: reads `MEE_SWEEP_THREADS` and
-    /// reports a bad override as a value instead of panicking, so binaries
-    /// can exit with a usage message the way they do for bad CLI flags.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ThreadsEnvError`] when the variable is set to anything
-    /// but a positive integer (zero, garbage, or an overflowing number).
-    pub fn from_env() -> Result<Self, ThreadsEnvError> {
-        let threads = match std::env::var(THREADS_ENV) {
-            Ok(v) => parse_threads_override(&v)?,
-            Err(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        };
-        Ok(Sweep { threads })
+        Sweep { threads: std::thread::available_parallelism().map_or(1, |n| n.get()) }
     }
 
     /// A single-threaded sweep (the serial reference execution).
@@ -242,36 +168,14 @@ impl Sweep {
         self.run_core(items, f, |i, _| {
             format!("sweep item {i} of {n} panicked")
         })
-        .0
     }
 
-    /// Like [`Sweep::run`], but also reports host-time profiling: each
-    /// worker records one [`SHARD_SPAN`] span covering the sessions it
-    /// drained, and the per-worker profiles are merged into one
-    /// [`HostProfile`].
-    ///
-    /// The *results* are bit-identical to [`Sweep::run`] for any thread
-    /// count; the *profile* is host wall-clock and therefore never
-    /// deterministic — it is measurement output, kept strictly separate
-    /// from simulated time (see the workspace observability design note).
-    pub fn run_profiled<I, T, F>(&self, items: &[I], f: F) -> (Vec<T>, HostProfile)
-    where
-        I: Sync,
-        T: Send,
-        F: Fn(usize, &I) -> T + Sync,
-    {
-        let n = items.len();
-        self.run_core(items, f, |i, _| {
-            format!("sweep item {i} of {n} panicked")
-        })
-    }
-
-    /// The shared engine behind [`Sweep::run`] and [`Sweep::run_profiled`]:
+    /// The shared engine behind [`Sweep::run`] and [`Sweep::seed_sweep`]:
     /// drains the queue, catches per-session panics, and re-raises the
     /// lowest-indexed one with `describe(index, item)` prepended — the
     /// `mee-spec` counterexample convention (one line, session identity,
     /// replay recipe) applied to worker crashes.
-    fn run_core<I, T, F, D>(&self, items: &[I], f: F, describe: D) -> (Vec<T>, HostProfile)
+    fn run_core<I, T, F, D>(&self, items: &[I], f: F, describe: D) -> Vec<T>
     where
         I: Sync,
         T: Send,
@@ -294,7 +198,6 @@ impl Sweep {
         };
 
         if workers <= 1 {
-            let start = Instant::now();
             let mut out = Vec::with_capacity(n);
             for i in 0..n {
                 // Serial execution visits indices in order, so the first
@@ -304,19 +207,15 @@ impl Sweep {
                     Err(msg) => raise(i, msg),
                 }
             }
-            let mut host = HostProfile::new();
-            host.record_n(SHARD_SPAN, n as u64, start.elapsed());
-            return (out, host);
+            return out;
         }
 
         let next = AtomicUsize::new(0);
         let collected: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
         let panics: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
-        let profile: Mutex<HostProfile> = Mutex::new(HostProfile::new());
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| {
-                    let shard_start = Instant::now();
                     // Collect locally and merge once at the end: the mutex
                     // is touched once per worker, not once per session.
                     let mut local = Vec::new();
@@ -331,17 +230,10 @@ impl Sweep {
                             Err(msg) => local_panics.push((i, msg)),
                         }
                     }
-                    let drained = (local.len() + local_panics.len()) as u64;
                     collected.lock().unwrap().extend(local);
                     if !local_panics.is_empty() {
                         panics.lock().unwrap().extend(local_panics);
                     }
-                    // HostProfile::merge is commutative, so the merge order
-                    // (which *is* scheduling-dependent) cannot change the
-                    // final aggregate.
-                    let mut shard = HostProfile::new();
-                    shard.record_n(SHARD_SPAN, drained, shard_start.elapsed());
-                    profile.lock().unwrap().merge(&shard);
                 });
             }
         });
@@ -354,8 +246,7 @@ impl Sweep {
         let mut indexed = collected.into_inner().unwrap();
         indexed.sort_unstable_by_key(|&(i, _)| i);
         debug_assert_eq!(indexed.len(), n, "work queue dropped sessions");
-        let out = indexed.into_iter().map(|(_, t)| t).collect();
-        (out, profile.into_inner().unwrap())
+        indexed.into_iter().map(|(_, t)| t).collect()
     }
 
     /// Runs an `n`-session seed sweep rooted at `root`: session `i` calls
@@ -366,18 +257,6 @@ impl Sweep {
     /// one-line replay recipe attached (lowest index deterministically
     /// when several panic — see [`Sweep::run`]).
     pub fn seed_sweep<T, F>(&self, root: u64, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(SessionSpec) -> T + Sync,
-    {
-        let specs = session_seeds(root, n);
-        self.run_core(&specs, |_, &spec| f(spec), seed_sweep_context(root, n))
-            .0
-    }
-
-    /// The profiled form of [`Sweep::seed_sweep`]: same results, plus the
-    /// merged per-worker shard profile from [`Sweep::run_profiled`].
-    pub fn seed_sweep_profiled<T, F>(&self, root: u64, n: usize, f: F) -> (Vec<T>, HostProfile)
     where
         T: Send,
         F: Fn(SessionSpec) -> T + Sync,
@@ -438,7 +317,7 @@ mod tests {
     #[test]
     fn every_session_runs_exactly_once() {
         let calls = AtomicU64::new(0);
-        let out = Sweep::with_threads(8).run(&vec![(); 100], |i, ()| {
+        let out = Sweep::with_threads(8).run(&[(); 100], |i, ()| {
             calls.fetch_add(1, Ordering::Relaxed);
             i
         });
@@ -494,46 +373,6 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn zero_threads_rejected() {
         let _ = Sweep::with_threads(0);
-    }
-
-    #[test]
-    fn threads_override_parsing_accepts_positive_integers_only() {
-        assert_eq!(parse_threads_override("1"), Ok(1));
-        assert_eq!(parse_threads_override("64"), Ok(64));
-        assert_eq!(parse_threads_override(" 8 "), Ok(8), "whitespace trimmed");
-        for bad in ["0", "-2", "", "many", "4.5", "0x10", "999999999999999999999999999999"] {
-            let err = parse_threads_override(bad).unwrap_err();
-            assert_eq!(err.value, bad, "error must echo the offending value");
-            let msg = err.to_string();
-            assert!(
-                msg.contains(THREADS_ENV) && msg.contains("positive integer"),
-                "unhelpful error for {bad:?}: {msg}"
-            );
-        }
-    }
-
-    #[test]
-    fn from_env_surfaces_bad_overrides_as_errors() {
-        // Env vars are process-global: this is the only test in the crate
-        // that touches MEE_SWEEP_THREADS, and it restores the prior state.
-        let prior = std::env::var(THREADS_ENV).ok();
-
-        std::env::set_var(THREADS_ENV, "3");
-        assert_eq!(Sweep::from_env().unwrap().thread_count(), 3);
-
-        std::env::set_var(THREADS_ENV, "0");
-        let err = Sweep::from_env().unwrap_err();
-        assert_eq!(err.value, "0");
-
-        std::env::set_var(THREADS_ENV, "lots");
-        assert!(Sweep::from_env().is_err());
-
-        std::env::remove_var(THREADS_ENV);
-        assert!(Sweep::from_env().unwrap().thread_count() >= 1);
-
-        if let Some(v) = prior {
-            std::env::set_var(THREADS_ENV, v);
-        }
     }
 
     #[test]
@@ -626,27 +465,6 @@ mod tests {
         }));
         assert!(msg.contains("item 1 of 4"), "no shard context in: {msg}");
         assert!(msg.contains("non-string panic payload"), "payload kind lost: {msg}");
-    }
-
-    #[test]
-    fn profiled_results_match_unprofiled_bit_for_bit() {
-        let plain = Sweep::serial().seed_sweep(2019, 32, chew);
-        for threads in [1, 2, 4, 8] {
-            let (profiled, host) = Sweep::with_threads(threads).seed_sweep_profiled(2019, 32, chew);
-            assert_eq!(plain, profiled, "{threads} threads diverged under profiling");
-            let shard = host.span(SHARD_SPAN).expect("shard span recorded");
-            // Every session is covered by exactly one worker's shard span.
-            assert_eq!(shard.count, 32, "shard spans must cover every session");
-            assert!(shard.count >= 1);
-        }
-    }
-
-    #[test]
-    fn profiled_empty_sweep_records_an_empty_shard() {
-        let (out, host) = Sweep::with_threads(4).run_profiled(&[] as &[u64], |_, &x| x);
-        assert!(out.is_empty());
-        let shard = host.span(SHARD_SPAN).expect("serial path still records the span");
-        assert_eq!(shard.count, 0);
     }
 
     /// Wall-clock smoke check: a parallel sweep must never be

@@ -27,7 +27,7 @@
 //! | [`engine`] | the MEE: tree walk over the MEE cache, hit-level timing |
 //! | [`machine`] | multi-core machine, enclave processes, actor scheduler |
 //! | [`faults`] | deterministic fault plans + the replayable injector |
-//! | [`campaign`] | crash-safe sharded campaigns: checkpoint/resume, quarantine, watchdog |
+//! | [`campaign`] | crash-safe sharded campaigns: checkpoint/resume, quarantine |
 //! | [`attack`] | the paper: reverse engineering, channels, experiments |
 //! | [`spec`] | executable invariant specs: exhaustive + property tiers, differential oracle |
 //!
