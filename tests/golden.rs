@@ -173,3 +173,49 @@ fn event_trace_matches_snapshot() {
     }
     check_golden("event_trace.txt", &s);
 }
+
+/// Pins the three channel families beside Algorithm 2 at seed 2019 on the
+/// noisy testbed, 64 random bits each: the wide channel at 1, 2 and 4
+/// lanes, the Prime+Probe baseline and the LLC Prime+Probe channel at a
+/// 4 000-cycle window. Each entry records the received bits, the error
+/// count and the KBps rate; the Prime+Probe entry also hashes its probe
+/// times.
+#[test]
+fn channel_families_match_snapshot() {
+    use mee_covert::attack::channel::llc::LlcSession;
+    use mee_covert::attack::channel::prime_probe::PrimeProbeSession;
+    use mee_covert::attack::channel::{random_bits, WideSession};
+    use mee_covert::types::Cycles;
+
+    fn entry(s: &mut String, name: &str, received: &[bool], errors: usize, kbps: f64) {
+        let bits: String = received.iter().map(|&b| if b { '1' } else { '0' }).collect();
+        writeln!(s, "{name} received {bits} errors {errors} kbps {kbps:.4}").unwrap();
+    }
+
+    let cfg = ChannelConfig::sweep_setup();
+    let bits = random_bits(64, testbed::SEED);
+    let mut s = String::new();
+    writeln!(s, "# channel families seed={} bits=64", testbed::SEED).unwrap();
+    for lanes in [1, 2, 4] {
+        let mut setup = testbed::noisy_setup(testbed::SEED).unwrap();
+        let wide = WideSession::establish(&mut setup, &cfg, lanes).unwrap();
+        let out = wide.transmit(&mut setup, &bits).unwrap();
+        entry(&mut s, &format!("wide lanes={lanes}"), &out.received, out.errors.count(), out.kbps);
+    }
+
+    let mut setup = testbed::noisy_setup(testbed::SEED).unwrap();
+    let pp = PrimeProbeSession::establish(&mut setup, &cfg).unwrap();
+    let out = pp.transmit(&mut setup, &bits).unwrap();
+    let elapsed = pp.config.window * (bits.len() as u64 + 1);
+    let clock_hz = setup.machine.config().timing.clock_hz();
+    let kbps = (bits.len() as f64 / 8.0) / elapsed.to_seconds(clock_hz) / 1000.0;
+    entry(&mut s, "prime_probe", &out.received, out.errors.count(), kbps);
+    let probe_bytes: Vec<u8> = out.probe_times.iter().flat_map(|t| t.raw().to_le_bytes()).collect();
+    writeln!(s, "prime_probe probe_times fnv64={:016x}", fnv64(&probe_bytes)).unwrap();
+
+    let mut setup = testbed::noisy_setup(testbed::SEED).unwrap();
+    let llc = LlcSession::establish(&mut setup, Cycles::new(4_000)).unwrap();
+    let out = llc.transmit(&mut setup, &bits).unwrap();
+    entry(&mut s, "llc window=4000", &out.received, out.errors.count(), out.kbps);
+    check_golden("channel_families.txt", &s);
+}
