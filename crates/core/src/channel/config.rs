@@ -37,7 +37,7 @@ pub struct ChannelConfig {
     pub strategy: EvictionStrategy,
     /// Whether the trojan rotates the sweep's starting element between
     /// `1`s. Prevents absorbing replacement-state cycles under the
-    /// deterministic PLRU model (see [`TrojanActor`](crate::channel::TrojanActor)).
+    /// deterministic PLRU model (see [`Sender`](crate::channel::Sender)).
     pub rotate_sweep: bool,
     /// Candidates the trojan feeds Algorithm 1 (≥ 64 required; more gives
     /// headroom on noisy machines).

@@ -11,107 +11,13 @@
 //! [`stealth`](crate::experiments::stealth) experiment quantifies the
 //! difference in footprint.
 
-use mee_machine::{run_actor_refs, Actor, ActorRef, ProcId};
+use mee_machine::{Machine, NoopHook, ProcId};
 use mee_mem::AddressSpaceKind;
 use mee_types::{Cycles, ModelError, VirtAddr, LINE_SIZE, PAGE_SIZE};
 
-use mee_machine::{CoreHandle, StepOutcome};
-
-use crate::channel::message::BitErrors;
-use crate::channel::prime_probe::PpTrojanActor;
+use crate::channel::config::EvictionStrategy;
+use crate::channel::exchange::{Exchange, ProbeShape, TransmitOutcome};
 use crate::setup::AttackSetup;
-
-/// The LLC spy: primes and probes *without* flushing — classic
-/// Prime+Probe relies on conflict misses, and the eviction set's lines
-/// alias in the (smaller) L1/L2 sets, so probe accesses naturally fall
-/// through to the LLC.
-#[derive(Debug)]
-pub struct LlcSpyActor {
-    eviction_set: Vec<VirtAddr>,
-    window: Cycles,
-    start: Cycles,
-    bits: usize,
-    state: LlcSpyState,
-    t1: Cycles,
-    probe_times: Vec<Cycles>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LlcSpyState {
-    WaitWindow(usize),
-    Probe(usize, usize),
-    Close(usize),
-    Finished,
-}
-
-impl LlcSpyActor {
-    /// Creates the LLC spy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the eviction set is empty.
-    pub fn new(eviction_set: Vec<VirtAddr>, window: Cycles, start: Cycles, bits: usize) -> Self {
-        assert!(!eviction_set.is_empty(), "eviction set must be non-empty");
-        LlcSpyActor {
-            eviction_set,
-            window,
-            start,
-            bits,
-            state: LlcSpyState::WaitWindow(0),
-            t1: Cycles::ZERO,
-            probe_times: Vec::new(),
-        }
-    }
-
-    fn window_start(&self, i: usize) -> Cycles {
-        self.start + self.window * i as u64
-    }
-
-    /// Raw sweep durations (index 0 is the cold prime).
-    pub fn probe_times(&self) -> &[Cycles] {
-        &self.probe_times
-    }
-
-    /// Decodes: a sweep slower than `threshold` means a way was evicted.
-    pub fn decode(&self, threshold: Cycles) -> Vec<bool> {
-        self.probe_times
-            .iter()
-            .skip(1)
-            .map(|&t| t > threshold)
-            .collect()
-    }
-}
-
-impl mee_machine::Actor for LlcSpyActor {
-    fn step(&mut self, cpu: &mut CoreHandle<'_>) -> Result<StepOutcome, ModelError> {
-        match self.state {
-            LlcSpyState::WaitWindow(i) => {
-                if i > self.bits {
-                    self.state = LlcSpyState::Finished;
-                    return Ok(StepOutcome::Done);
-                }
-                cpu.busy_until(self.window_start(i));
-                self.t1 = cpu.timer_read();
-                self.state = LlcSpyState::Probe(i, 0);
-            }
-            LlcSpyState::Probe(i, j) => {
-                cpu.read(self.eviction_set[j])?;
-                if j + 1 < self.eviction_set.len() {
-                    self.state = LlcSpyState::Probe(i, j + 1);
-                } else {
-                    self.state = LlcSpyState::Close(i);
-                }
-            }
-            LlcSpyState::Close(i) => {
-                let t2 = cpu.timer_read();
-                self.probe_times.push(t2.saturating_sub(self.t1));
-                self.state = LlcSpyState::WaitWindow(i + 1);
-            }
-            LlcSpyState::Finished => return Ok(StepOutcome::Done),
-        }
-        Ok(StepOutcome::Running)
-    }
-}
 
 /// An established LLC Prime+Probe channel between two regular processes.
 #[derive(Debug, Clone)]
@@ -130,19 +36,6 @@ pub struct LlcSession {
     pub probe_threshold: Cycles,
 }
 
-/// Outcome of an LLC-channel transmission.
-#[derive(Debug, Clone)]
-pub struct LlcOutcome {
-    /// What was sent.
-    pub sent: Vec<bool>,
-    /// What was decoded.
-    pub received: Vec<bool>,
-    /// Positional errors.
-    pub errors: BitErrors,
-    /// Raw channel rate in KBps.
-    pub kbps: f64,
-}
-
 impl LlcSession {
     /// Establishes the channel: maps hugepage-backed buffers for both
     /// parties and computes the eviction set analytically from physical
@@ -150,8 +43,14 @@ impl LlcSession {
     ///
     /// # Errors
     ///
-    /// Propagates allocation errors.
+    /// Returns [`ModelError::InvalidConfig`] for a zero window; propagates
+    /// allocation and translation errors.
     pub fn establish(setup: &mut AttackSetup, window: Cycles) -> Result<Self, ModelError> {
+        if window == Cycles::ZERO {
+            return Err(ModelError::InvalidConfig {
+                reason: "the LLC channel's window must be non-zero".into(),
+            });
+        }
         let llc = setup.machine.llc().config();
         let ways = llc.ways;
         let sets = llc.sets;
@@ -173,22 +72,17 @@ impl LlcSession {
         // With physical contiguity, the set index of any VA is computable
         // from the base alignment (hugepage bases are known-aligned; here we
         // read the translation once, as real attackers read /proc or probe).
-        let target_set = 0x2a % sets;
-        let line_of = |machine: &mee_machine::Machine, proc, base: VirtAddr| {
-            machine.translate(proc, base).unwrap().line().raw()
+        let (target_set, sets_u64) = ((0x2a % sets) as u64, sets as u64);
+        // Lines from `base` to the first line in the target set.
+        let align = |machine: &Machine, proc, base: VirtAddr| -> Result<u64, ModelError> {
+            let line = machine.translate(proc, base)?.line().raw();
+            Ok((target_set + sets_u64 - line % sets_u64) % sets_u64)
         };
-        let spy_pa_line = line_of(&setup.machine, spy_proc, spy_base);
-        let spy_align = (target_set as u64 + sets as u64
-            - (spy_pa_line % sets as u64))
-            % sets as u64;
+        let spy_align = align(&setup.machine, spy_proc, spy_base)?;
         let eviction_set: Vec<VirtAddr> = (0..ways)
             .map(|w| spy_base + (spy_align + (w * sets) as u64) * LINE_SIZE as u64)
             .collect();
-
-        let trojan_pa_line = line_of(&setup.machine, trojan_proc, trojan_base);
-        let trojan_align = (target_set as u64 + sets as u64
-            - (trojan_pa_line % sets as u64))
-            % sets as u64;
+        let trojan_align = align(&setup.machine, trojan_proc, trojan_base)?;
         let target = trojan_base + trojan_align * LINE_SIZE as u64;
 
         // Calibrate: all-hit probe sweeps (no flushes — the lines alias in
@@ -196,18 +90,16 @@ impl LlcSession {
         // one miss.
         let mut quiet_total = 0u64;
         let reps = 8u64;
-        {
+        for &a in &eviction_set {
+            setup.machine.read(setup.spy.core, spy_proc, a)?;
+        }
+        for _ in 0..reps {
+            let t1 = setup.machine.timer_read(setup.spy.core);
             for &a in &eviction_set {
                 setup.machine.read(setup.spy.core, spy_proc, a)?;
             }
-            for _ in 0..reps {
-                let t1 = setup.machine.timer_read(setup.spy.core);
-                for &a in &eviction_set {
-                    setup.machine.read(setup.spy.core, spy_proc, a)?;
-                }
-                let t2 = setup.machine.timer_read(setup.spy.core);
-                quiet_total += t2.saturating_sub(t1).raw();
-            }
+            let t2 = setup.machine.timer_read(setup.spy.core);
+            quiet_total += t2.saturating_sub(t1).raw();
         }
         let t = &setup.machine.config().timing;
         let miss_penalty = (t.dram_row_hit + t.dram_row_miss) / 2;
@@ -224,7 +116,8 @@ impl LlcSession {
     }
 
     /// Transmits `bits`, one per window, using the spy/trojan cores of
-    /// `setup` but the regular processes of this session.
+    /// `setup` but the regular processes of this session. The exchange is
+    /// the Prime+Probe baseline's, except that the spy never flushes.
     ///
     /// # Errors
     ///
@@ -233,35 +126,22 @@ impl LlcSession {
         &self,
         setup: &mut AttackSetup,
         bits: &[bool],
-    ) -> Result<LlcOutcome, ModelError> {
-        let window = self.window;
-        let now = setup
-            .machine
-            .core_now(setup.spy.core)
-            .max(setup.machine.core_now(setup.trojan.core));
-        let start = Cycles::new((now.raw() / window.raw() + 3) * window.raw());
-
-        let mut trojan = PpTrojanActor::new(self.target, bits.to_vec(), window, start);
-        let mut spy = LlcSpyActor::new(self.eviction_set.clone(), window, start, bits.len());
-        let horizon = start + window * (bits.len() as u64 + 3) + Cycles::new(100_000);
-        {
-            let mut actors: Vec<ActorRef<'_>> = vec![
-                (setup.spy.core, self.spy_proc, &mut spy as &mut dyn Actor),
-                (setup.trojan.core, self.trojan_proc, &mut trojan),
-            ];
-            run_actor_refs(&mut setup.machine, &mut actors, horizon)?;
+    ) -> Result<TransmitOutcome, ModelError> {
+        let threshold = self.probe_threshold;
+        Exchange {
+            sender: (setup.trojan.core, self.trojan_proc),
+            receiver: (setup.spy.core, self.spy_proc),
+            window: self.window,
+            lanes: vec![vec![self.target]],
+            strategy: EvictionStrategy::ForwardOnly,
+            rotate: false,
+            phase: self.window / 2,
+            probes: vec![self.eviction_set.clone()],
+            shape: ProbeShape::NoFlush,
+            guard: Cycles::ZERO,
+            bias: Cycles::ZERO,
         }
-        let received = spy.decode(self.probe_threshold);
-        let errors = BitErrors::compare(bits, &received);
-        let clock_hz = setup.machine.config().timing.clock_hz();
-        let elapsed = window * (bits.len() as u64 + 1);
-        let kbps = (bits.len() as f64 / 8.0) / elapsed.to_seconds(clock_hz) / 1000.0;
-        Ok(LlcOutcome {
-            sent: bits.to_vec(),
-            received,
-            errors,
-            kbps,
-        })
+        .run(setup, bits, &mut [], &mut NoopHook, |t| t > threshold)
     }
 }
 
@@ -288,6 +168,13 @@ mod tests {
             assert_eq!(set_of(session.spy_proc, a), expected);
         }
         assert_eq!(session.eviction_set.len(), setup.machine.llc().config().ways);
+    }
+
+    #[test]
+    fn zero_window_is_rejected() {
+        let mut setup = AttackSetup::quiet(310).unwrap();
+        let err = LlcSession::establish(&mut setup, Cycles::ZERO).unwrap_err();
+        assert!(matches!(err, ModelError::InvalidConfig { .. }), "{err}");
     }
 
     #[test]

@@ -11,28 +11,31 @@
 //! set, a short handshake gives the spy its monitor address, and
 //! [`Session::transmit`] runs both actors concurrently on their cores.
 //!
-//! [`prime_probe`] implements the straightforward port of LLC Prime+Probe
-//! the paper shows *failing* over the MEE cache (Figure 6a), and
-//! [`coding`] adds the error-handling layer the paper leaves as future
-//! work.
+//! Every channel here, this one included, is one window exchange
+//! ([`exchange`]): one [`Sender`] acting on per-lane address sets once per
+//! window, one [`Receiver`] timing a probe set per lane near the boundary.
+//! [`Session`], [`WideSession`], [`prime_probe::PrimeProbeSession`] and
+//! [`llc::LlcSession`] only fix the lanes, the sender's phase and the
+//! receiver's [`ProbeShape`]. [`prime_probe`] is the straightforward port
+//! of LLC Prime+Probe the paper shows *failing* over the MEE cache
+//! (Figure 6a), and [`coding`] adds the error-handling layer the paper
+//! leaves as future work.
 
 pub mod coding;
 mod config;
+pub mod exchange;
 mod leak;
 pub mod llc;
 mod message;
 pub mod prime_probe;
 pub mod reliable;
 mod session;
-mod spy;
-mod trojan;
 pub mod wide;
 
 pub use config::{ChannelConfig, EvictionStrategy, RecoveryPolicy};
+pub use exchange::{ProbeShape, Receiver, Sender, TransmitOutcome};
 pub use leak::{bits_to_bytes, bytes_to_bits, LeakOutcome};
 pub use message::{alternating_bits, paper_100_pattern, random_bits, BitErrors};
 pub use reliable::{ReliableLink, ReliableStats};
-pub use session::{RobustOutcome, Session, TransmitOutcome};
-pub use spy::SpyActor;
-pub use trojan::TrojanActor;
-pub use wide::{WideOutcome, WideSession};
+pub use session::{RobustOutcome, Session};
+pub use wide::WideSession;

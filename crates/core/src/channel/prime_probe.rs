@@ -10,179 +10,13 @@
 //! channel drowns in access-latency variance. That failure is the paper's
 //! motivation for reversing the roles.
 
-use mee_machine::{run_actor_refs, Actor, ActorRef, CoreHandle, StepOutcome};
+use mee_machine::NoopHook;
 use mee_types::{Cycles, ModelError, VirtAddr};
 
-use crate::channel::config::ChannelConfig;
-use crate::channel::message::BitErrors;
+use crate::channel::config::{ChannelConfig, EvictionStrategy};
+use crate::channel::exchange::{Exchange, ProbeShape, TransmitOutcome};
 use crate::channel::Session;
 use crate::setup::AttackSetup;
-
-/// The trojan of the baseline: touches one address per `1` window.
-#[derive(Debug)]
-pub struct PpTrojanActor {
-    target: VirtAddr,
-    bits: Vec<bool>,
-    window: Cycles,
-    start: Cycles,
-    state: PpTrojanState,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PpTrojanState {
-    WaitStart,
-    BitStart(usize),
-    Touch(usize),
-    WaitWindowEnd(usize),
-}
-
-impl PpTrojanActor {
-    /// Creates the baseline trojan.
-    pub fn new(target: VirtAddr, bits: Vec<bool>, window: Cycles, start: Cycles) -> Self {
-        PpTrojanActor {
-            target,
-            bits,
-            window,
-            start,
-            state: PpTrojanState::WaitStart,
-        }
-    }
-
-    fn window_start(&self, i: usize) -> Cycles {
-        self.start + self.window * i as u64
-    }
-}
-
-impl Actor for PpTrojanActor {
-    fn step(&mut self, cpu: &mut CoreHandle<'_>) -> Result<StepOutcome, ModelError> {
-        match self.state {
-            PpTrojanState::WaitStart => {
-                cpu.busy_until(self.start);
-                self.state = PpTrojanState::BitStart(0);
-            }
-            PpTrojanState::BitStart(i) => {
-                if i >= self.bits.len() {
-                    return Ok(StepOutcome::Done);
-                }
-                if self.bits[i] {
-                    // Touch mid-window, after the spy's (long, ~4000-cycle)
-                    // probe sweep of this window has drained — otherwise the
-                    // eviction lands *inside* the running sweep and the
-                    // baseline's window alignment becomes accidental.
-                    cpu.busy_until(self.window_start(i) + self.window / 2);
-                    self.state = PpTrojanState::Touch(i);
-                } else {
-                    cpu.busy_until(self.window_start(i + 1));
-                    self.state = PpTrojanState::BitStart(i + 1);
-                }
-            }
-            PpTrojanState::Touch(i) => {
-                cpu.read(self.target)?;
-                cpu.clflush(self.target)?;
-                cpu.mfence();
-                self.state = PpTrojanState::WaitWindowEnd(i);
-            }
-            PpTrojanState::WaitWindowEnd(i) => {
-                cpu.busy_until(self.window_start(i + 1));
-                self.state = PpTrojanState::BitStart(i + 1);
-            }
-        }
-        Ok(StepOutcome::Running)
-    }
-}
-
-/// The spy of the baseline: probes the *whole* eviction set each window,
-/// timing the total sweep.
-#[derive(Debug)]
-pub struct PpSpyActor {
-    eviction_set: Vec<VirtAddr>,
-    window: Cycles,
-    start: Cycles,
-    bits: usize,
-    state: PpSpyState,
-    t1: Cycles,
-    probe_times: Vec<Cycles>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PpSpyState {
-    WaitWindow(usize),
-    Probe(usize, usize),
-    Close(usize),
-    Finished,
-}
-
-impl PpSpyActor {
-    /// Creates the baseline spy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the eviction set is empty.
-    pub fn new(eviction_set: Vec<VirtAddr>, window: Cycles, start: Cycles, bits: usize) -> Self {
-        assert!(!eviction_set.is_empty(), "eviction set must be non-empty");
-        PpSpyActor {
-            eviction_set,
-            window,
-            start,
-            bits,
-            state: PpSpyState::WaitWindow(0),
-            t1: Cycles::ZERO,
-            probe_times: Vec::new(),
-        }
-    }
-
-    fn window_start(&self, i: usize) -> Cycles {
-        self.start + self.window * i as u64
-    }
-
-    /// Raw full-set probe durations (index 0 is the prime sweep).
-    pub fn probe_times(&self) -> &[Cycles] {
-        &self.probe_times
-    }
-
-    /// Decodes with the given total-probe-time threshold: longer sweep →
-    /// some way missed → `1`.
-    pub fn decode(&self, threshold: Cycles) -> Vec<bool> {
-        self.probe_times
-            .iter()
-            .skip(1)
-            .map(|&t| t > threshold)
-            .collect()
-    }
-}
-
-impl Actor for PpSpyActor {
-    fn step(&mut self, cpu: &mut CoreHandle<'_>) -> Result<StepOutcome, ModelError> {
-        match self.state {
-            PpSpyState::WaitWindow(i) => {
-                if i > self.bits {
-                    self.state = PpSpyState::Finished;
-                    return Ok(StepOutcome::Done);
-                }
-                cpu.busy_until(self.window_start(i));
-                self.t1 = cpu.timer_read();
-                self.state = PpSpyState::Probe(i, 0);
-            }
-            PpSpyState::Probe(i, j) => {
-                let addr = self.eviction_set[j];
-                cpu.read(addr)?;
-                cpu.clflush(addr)?;
-                if j + 1 < self.eviction_set.len() {
-                    self.state = PpSpyState::Probe(i, j + 1);
-                } else {
-                    self.state = PpSpyState::Close(i);
-                }
-            }
-            PpSpyState::Close(i) => {
-                let t2 = cpu.timer_read();
-                self.probe_times.push(t2.saturating_sub(self.t1));
-                self.state = PpSpyState::WaitWindow(i + 1);
-            }
-            PpSpyState::Finished => return Ok(StepOutcome::Done),
-        }
-        Ok(StepOutcome::Running)
-    }
-}
 
 /// The established baseline channel.
 #[derive(Debug, Clone)]
@@ -195,19 +29,6 @@ pub struct PrimeProbeSession {
     pub config: ChannelConfig,
     /// Decode threshold for total probe time, calibrated at establishment.
     pub probe_threshold: Cycles,
-}
-
-/// Result of a baseline transmission.
-#[derive(Debug, Clone)]
-pub struct PrimeProbeOutcome {
-    /// What the trojan sent.
-    pub sent: Vec<bool>,
-    /// What the spy decoded.
-    pub received: Vec<bool>,
-    /// Total 8-way probe durations (the y-axis of Figure 6a).
-    pub probe_times: Vec<Cycles>,
-    /// Positional errors.
-    pub errors: BitErrors,
 }
 
 impl PrimeProbeSession {
@@ -250,7 +71,10 @@ impl PrimeProbeSession {
         })
     }
 
-    /// Transmits `bits` over the baseline channel.
+    /// Transmits `bits` over the baseline channel. The spy times its whole
+    /// sweep, flushes included, on each boundary; the trojan touches its
+    /// target at mid-window, once that ~4000-cycle sweep has drained, so
+    /// the eviction never lands inside it.
     ///
     /// # Errors
     ///
@@ -259,32 +83,23 @@ impl PrimeProbeSession {
         &self,
         setup: &mut AttackSetup,
         bits: &[bool],
-    ) -> Result<PrimeProbeOutcome, ModelError> {
+    ) -> Result<TransmitOutcome, ModelError> {
         let window = self.config.window;
-        let now = setup
-            .machine
-            .core_now(setup.spy.core)
-            .max(setup.machine.core_now(setup.trojan.core));
-        let start = Cycles::new((now.raw() / window.raw() + 3) * window.raw());
-
-        let mut trojan = PpTrojanActor::new(self.target, bits.to_vec(), window, start);
-        let mut spy = PpSpyActor::new(self.eviction_set.clone(), window, start, bits.len());
-        let horizon = start + window * (bits.len() as u64 + 3) + Cycles::new(100_000);
-        {
-            let mut actors: Vec<ActorRef<'_>> = vec![
-                (setup.spy.core, setup.spy.proc, &mut spy),
-                (setup.trojan.core, setup.trojan.proc, &mut trojan),
-            ];
-            run_actor_refs(&mut setup.machine, &mut actors, horizon)?;
+        let threshold = self.probe_threshold;
+        Exchange {
+            sender: (setup.trojan.core, setup.trojan.proc),
+            receiver: (setup.spy.core, setup.spy.proc),
+            window,
+            lanes: vec![vec![self.target]],
+            strategy: EvictionStrategy::ForwardOnly,
+            rotate: false,
+            phase: window / 2,
+            probes: vec![self.eviction_set.clone()],
+            shape: ProbeShape::TimedFlush,
+            guard: Cycles::ZERO,
+            bias: Cycles::ZERO,
         }
-        let received = spy.decode(self.probe_threshold);
-        let errors = BitErrors::compare(bits, &received);
-        Ok(PrimeProbeOutcome {
-            sent: bits.to_vec(),
-            received,
-            probe_times: spy.probe_times().to_vec(),
-            errors,
-        })
+        .run(setup, bits, &mut [], &mut NoopHook, |t| t > threshold)
     }
 }
 

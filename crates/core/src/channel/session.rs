@@ -1,13 +1,12 @@
 //! Establishing and running the covert channel.
 
-use mee_machine::{run_actor_refs_hooked, ActorRef, CoreHandle, NoopHook, StepHook};
+use mee_machine::{ActorRef, CoreHandle, NoopHook, StepHook};
 use mee_types::{Cycles, ModelError, VirtAddr};
 
 use crate::channel::coding;
 use crate::channel::config::ChannelConfig;
+use crate::channel::exchange::{Exchange, ProbeShape, TransmitOutcome};
 use crate::channel::message::BitErrors;
-use crate::channel::spy::SpyActor;
-use crate::channel::trojan::TrojanActor;
 use crate::recon::eviction::find_eviction_set;
 use crate::setup::{AttackSetup, Tenant};
 use crate::threshold::{AdaptiveClassifier, LatencyClassifier};
@@ -28,35 +27,6 @@ pub struct Session {
     pub receiver: Tenant,
     /// Classifier for true-latency samples (setup-time probes).
     classifier: LatencyClassifier,
-}
-
-/// The result of one transmission.
-#[derive(Debug, Clone)]
-#[must_use = "a transmission outcome carries the decoded bits and error statistics"]
-pub struct TransmitOutcome {
-    /// What the trojan sent.
-    pub sent: Vec<bool>,
-    /// What the spy decoded.
-    pub received: Vec<bool>,
-    /// The spy's de-biased probe durations (index 0 is the prime probe) —
-    /// the y-axis of Figures 6(b) and 8.
-    pub probe_times: Vec<Cycles>,
-    /// Positional bit errors.
-    pub errors: BitErrors,
-    /// Wall-clock (simulated) duration of the transmission.
-    pub elapsed: Cycles,
-    /// Achieved rate in kilobytes per second at the machine's clock.
-    pub kbps: f64,
-    /// The trojan's per-`1` active sending cost (≈ 9000 cycles, §5.4).
-    pub one_costs: Vec<Cycles>,
-}
-
-impl TransmitOutcome {
-    /// Bit error rate in `[0, 1]`.
-    #[must_use]
-    pub fn error_rate(&self) -> f64 {
-        self.errors.rate()
-    }
 }
 
 /// The result of one self-healing transmission ([`Session::transmit_robust`]).
@@ -289,69 +259,24 @@ impl Session {
         noise: &mut [ActorRef<'_>],
         hook: &mut dyn StepHook,
     ) -> Result<TransmitOutcome, ModelError> {
+        // One lane at phase 0: the sweep starts on the boundary, and the
+        // monitor probe fires a guard interval before the next one.
         let window = self.config.window;
-        // Host-time span over the wire transmission; like "establish",
-        // wall-clock only and recorded at the end.
-        let host_start = std::time::Instant::now();
-        // Agree on a start boundary comfortably after both clocks.
-        let now = setup
-            .machine
-            .core_now(self.receiver.core)
-            .max(setup.machine.core_now(self.sender.core));
-        let start = Cycles::new((now.raw() / window.raw() + 3) * window.raw());
-
-        let mut trojan = TrojanActor::with_rotation(
-            self.eviction_set.clone(),
-            bits.to_vec(),
+        let threshold = self.classifier.threshold;
+        Exchange {
+            sender: (self.sender.core, self.sender.proc),
+            receiver: (self.receiver.core, self.receiver.proc),
             window,
-            start,
-            self.config.strategy,
-            self.config.rotate_sweep,
-        );
-        let timer_classifier = LatencyClassifier {
-            threshold: self.classifier.threshold,
+            lanes: vec![self.eviction_set.clone()],
+            strategy: self.config.strategy,
+            rotate: self.config.rotate_sweep,
+            phase: Cycles::ZERO,
+            probes: vec![vec![self.monitor]],
+            shape: ProbeShape::FlushAfter,
+            guard: Cycles::new((window.raw() / 10).clamp(400, 1_200)),
             bias: setup.machine.config().timing.timer_read,
-        };
-        let mut spy = SpyActor::new(self.monitor, window, start, bits.len(), timer_classifier);
-
-        let horizon = start + window * (bits.len() as u64 + 3) + Cycles::new(100_000);
-        setup
-            .machine
-            .trace_phase("transmit_start", bits.len() as u64, start);
-        {
-            let mut actors: Vec<ActorRef<'_>> = vec![
-                (self.receiver.core, self.receiver.proc, &mut spy),
-                (self.sender.core, self.sender.proc, &mut trojan),
-            ];
-            for (core, proc, actor) in noise.iter_mut() {
-                actors.push((*core, *proc, &mut **actor));
-            }
-            run_actor_refs_hooked(&mut setup.machine, &mut actors, horizon, hook)?;
         }
-        let t_end = setup.machine.core_now(self.receiver.core);
-        setup
-            .machine
-            .trace_phase("transmit_end", bits.len() as u64, t_end);
-
-        setup
-            .machine
-            .obs_mut()
-            .host
-            .record("transmit", host_start.elapsed());
-        let received = spy.decoded_bits();
-        let errors = BitErrors::compare(bits, &received);
-        let elapsed = window * (bits.len() as u64 + 1);
-        let clock_hz = setup.machine.config().timing.clock_hz();
-        let kbps = (bits.len() as f64 / 8.0) / elapsed.to_seconds(clock_hz) / 1000.0;
-        Ok(TransmitOutcome {
-            sent: bits.to_vec(),
-            received,
-            probe_times: spy.probe_times().to_vec(),
-            errors,
-            elapsed,
-            kbps,
-            one_costs: trojan.one_costs().to_vec(),
-        })
+        .run(setup, bits, noise, hook, |t| t >= threshold)
     }
 
     /// Extra all-zero tail windows appended to a robust frame so a late

@@ -5,8 +5,10 @@
 //! each of the 8 version blocks of a page maps to a *different* MEE-cache
 //! set (offset `o` lands on set `≡ 2o+1 (mod 16)` within its alignment
 //! class), so up to 8 independent lanes coexist without colliding. The
-//! trojan sweeps the eviction sets of all `1` lanes inside the window; the
-//! spy probes one monitor address per lane in its guard slot.
+//! channel is the Algorithm 2 [window exchange](crate::channel::exchange)
+//! with one lane per offset: the sender sweeps the eviction sets of all
+//! `1` lanes inside the window, and the receiver probes one monitor
+//! address per lane in its guard slot.
 //!
 //! Throughput: a lane's `1` costs ≈ 9000 cycles of trojan time, so the
 //! window must grow with the lane count and the speedup saturates around
@@ -14,11 +16,11 @@
 //! share one setup. The [`wide` experiment](crate::experiments::wide)
 //! quantifies the trade-off.
 
-use mee_machine::{run_actor_refs, Actor, ActorRef, CoreHandle, StepOutcome};
+use mee_machine::NoopHook;
 use mee_types::{Cycles, ModelError, VirtAddr};
 
-use crate::channel::config::ChannelConfig;
-use crate::channel::message::BitErrors;
+use crate::channel::config::{ChannelConfig, EvictionStrategy};
+use crate::channel::exchange::{Exchange, ProbeShape, TransmitOutcome};
 use crate::channel::session::Session;
 use crate::setup::AttackSetup;
 use crate::threshold::LatencyClassifier;
@@ -42,19 +44,6 @@ pub struct WideSession {
     /// Window per symbol.
     pub window: Cycles,
     classifier: LatencyClassifier,
-}
-
-/// Outcome of a wide transmission.
-#[derive(Debug, Clone)]
-pub struct WideOutcome {
-    /// Bits sent (flattened symbols, lane-major within each window).
-    pub sent: Vec<bool>,
-    /// Bits decoded.
-    pub received: Vec<bool>,
-    /// Positional errors over the flattened stream.
-    pub errors: BitErrors,
-    /// Effective rate in KBps.
-    pub kbps: f64,
 }
 
 impl WideSession {
@@ -101,7 +90,8 @@ impl WideSession {
     }
 
     /// Transmits `bits` (flattened symbols: window `w` carries bits
-    /// `w*lanes .. (w+1)*lanes`, zero-padded at the tail).
+    /// `w*lanes .. (w+1)*lanes`, zero-padded at the tail). The receiver's
+    /// guard grows by 800 cycles per lane, capped at half a window.
     ///
     /// # Errors
     ///
@@ -110,279 +100,23 @@ impl WideSession {
         &self,
         setup: &mut AttackSetup,
         bits: &[bool],
-    ) -> Result<WideOutcome, ModelError> {
-        let lanes = self.lanes.len();
-        let symbols = bits.len().div_ceil(lanes);
-        let mut padded = bits.to_vec();
-        padded.resize(symbols * lanes, false);
-
-        let window = self.window;
-        let now = setup
-            .machine
-            .core_now(setup.spy.core)
-            .max(setup.machine.core_now(setup.trojan.core));
-        let start = Cycles::new((now.raw() / window.raw() + 3) * window.raw());
-
-        let mut trojan = WideTrojanActor::new(
-            self.lanes.iter().map(|l| l.eviction_set.clone()).collect(),
-            padded.clone(),
-            lanes,
-            window,
-            start,
-        );
-        let timer_classifier = LatencyClassifier {
-            threshold: self.classifier.threshold,
+    ) -> Result<TransmitOutcome, ModelError> {
+        let lanes = self.lanes.len() as u64;
+        let threshold = self.classifier.threshold;
+        Exchange {
+            sender: (setup.trojan.core, setup.trojan.proc),
+            receiver: (setup.spy.core, setup.spy.proc),
+            window: self.window,
+            lanes: self.lanes.iter().map(|l| l.eviction_set.clone()).collect(),
+            strategy: EvictionStrategy::TwoPhase,
+            rotate: true,
+            phase: Cycles::ZERO,
+            probes: self.lanes.iter().map(|l| vec![l.monitor]).collect(),
+            shape: ProbeShape::FlushAfter,
+            guard: Cycles::new((lanes * 800 + 400).min(self.window.raw() / 2)),
             bias: setup.machine.config().timing.timer_read,
-        };
-        let mut spy = WideSpyActor::new(
-            self.lanes.iter().map(|l| l.monitor).collect(),
-            window,
-            start,
-            symbols,
-            timer_classifier,
-        );
-
-        let horizon = start + window * (symbols as u64 + 3) + Cycles::new(200_000);
-        {
-            let mut actors: Vec<ActorRef<'_>> = vec![
-                (setup.spy.core, setup.spy.proc, &mut spy),
-                (setup.trojan.core, setup.trojan.proc, &mut trojan),
-            ];
-            run_actor_refs(&mut setup.machine, &mut actors, horizon)?;
         }
-        let mut received = spy.decoded_bits();
-        received.truncate(bits.len());
-        let errors = BitErrors::compare(bits, &received);
-        let clock_hz = setup.machine.config().timing.clock_hz();
-        let elapsed = window * (symbols as u64 + 1);
-        let kbps = (bits.len() as f64 / 8.0) / elapsed.to_seconds(clock_hz) / 1000.0;
-        Ok(WideOutcome {
-            sent: bits.to_vec(),
-            received,
-            errors,
-            kbps,
-        })
-    }
-}
-
-/// The multi-lane trojan: per window, sweeps the eviction set of every lane
-/// whose bit is `1` (forward then backward, rotating starts).
-#[derive(Debug)]
-pub struct WideTrojanActor {
-    lane_sets: Vec<Vec<VirtAddr>>,
-    bits: Vec<bool>,
-    lanes: usize,
-    window: Cycles,
-    start: Cycles,
-    state: WtState,
-    rotation: usize,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WtState {
-    WaitStart,
-    SymbolStart(usize),
-    /// (symbol, lane, phase 0=fwd 1=bwd, index)
-    Sweep(usize, usize, u8, usize),
-    WaitWindowEnd(usize),
-}
-
-impl WideTrojanActor {
-    /// Creates the multi-lane trojan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any lane's eviction set is empty or `bits.len()` is not a
-    /// multiple of the lane count.
-    pub fn new(
-        lane_sets: Vec<Vec<VirtAddr>>,
-        bits: Vec<bool>,
-        lanes: usize,
-        window: Cycles,
-        start: Cycles,
-    ) -> Self {
-        assert!(lane_sets.iter().all(|s| !s.is_empty()), "empty lane set");
-        assert_eq!(lane_sets.len(), lanes, "lane count mismatch");
-        assert_eq!(bits.len() % lanes, 0, "bits must fill whole symbols");
-        WideTrojanActor {
-            lane_sets,
-            bits,
-            lanes,
-            window,
-            start,
-            state: WtState::WaitStart,
-            rotation: 0,
-        }
-    }
-
-    fn window_start(&self, i: usize) -> Cycles {
-        self.start + self.window * i as u64
-    }
-
-    fn bit(&self, symbol: usize, lane: usize) -> bool {
-        self.bits[symbol * self.lanes + lane]
-    }
-
-    /// First active lane at or after `lane` in `symbol`, if any.
-    fn next_active(&self, symbol: usize, lane: usize) -> Option<usize> {
-        (lane..self.lanes).find(|&l| self.bit(symbol, l))
-    }
-}
-
-impl Actor for WideTrojanActor {
-    fn step(&mut self, cpu: &mut CoreHandle<'_>) -> Result<StepOutcome, ModelError> {
-        match self.state {
-            WtState::WaitStart => {
-                cpu.busy_until(self.start);
-                self.state = WtState::SymbolStart(0);
-            }
-            WtState::SymbolStart(s) => {
-                if s * self.lanes >= self.bits.len() {
-                    return Ok(StepOutcome::Done);
-                }
-                match self.next_active(s, 0) {
-                    Some(lane) => self.state = WtState::Sweep(s, lane, 0, 0),
-                    None => {
-                        cpu.busy_until(self.window_start(s + 1));
-                        self.state = WtState::SymbolStart(s + 1);
-                    }
-                }
-            }
-            WtState::Sweep(s, lane, phase, j) => {
-                let set = &self.lane_sets[lane];
-                let n = set.len();
-                let idx = if phase == 0 {
-                    (self.rotation + j) % n
-                } else {
-                    (self.rotation + (n - 1 - j)) % n
-                };
-                let addr = set[idx];
-                cpu.read(addr)?;
-                cpu.clflush(addr)?;
-                if j + 1 < n {
-                    self.state = WtState::Sweep(s, lane, phase, j + 1);
-                } else if phase == 0 {
-                    cpu.mfence();
-                    self.state = WtState::Sweep(s, lane, 1, 0);
-                } else {
-                    // Lane done; next active lane or wait out the window.
-                    match self.next_active(s, lane + 1) {
-                        Some(next) => self.state = WtState::Sweep(s, next, 0, 0),
-                        None => {
-                            self.rotation = self.rotation.wrapping_add(1);
-                            self.state = WtState::WaitWindowEnd(s);
-                        }
-                    }
-                }
-            }
-            WtState::WaitWindowEnd(s) => {
-                cpu.busy_until(self.window_start(s + 1));
-                self.state = WtState::SymbolStart(s + 1);
-            }
-        }
-        Ok(StepOutcome::Running)
-    }
-}
-
-/// The multi-lane spy: probes every lane's monitor address in the guard
-/// slot before each boundary.
-#[derive(Debug)]
-pub struct WideSpyActor {
-    monitors: Vec<VirtAddr>,
-    window: Cycles,
-    start: Cycles,
-    guard: Cycles,
-    symbols: usize,
-    classifier: LatencyClassifier,
-    state: WsState,
-    t1: Cycles,
-    /// De-biased probe times, `monitors.len()` per probe round.
-    probe_times: Vec<Cycles>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WsState {
-    WaitWindow(usize),
-    /// (round, lane) — timer read done for this lane.
-    Probe(usize, usize),
-    Close(usize, usize),
-    Finished,
-}
-
-impl WideSpyActor {
-    /// Creates the multi-lane spy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `monitors` is empty.
-    pub fn new(
-        monitors: Vec<VirtAddr>,
-        window: Cycles,
-        start: Cycles,
-        symbols: usize,
-        classifier: LatencyClassifier,
-    ) -> Self {
-        assert!(!monitors.is_empty(), "at least one monitor required");
-        let guard = Cycles::new((monitors.len() as u64 * 800 + 400).min(window.raw() / 2));
-        WideSpyActor {
-            monitors,
-            window,
-            start,
-            guard,
-            symbols,
-            classifier,
-            state: WsState::WaitWindow(0),
-            t1: Cycles::ZERO,
-            probe_times: Vec::new(),
-        }
-    }
-
-    fn window_start(&self, i: usize) -> Cycles {
-        self.start + self.window * i as u64
-    }
-
-    /// Decoded flattened bits: probe round `r + 1` carries symbol `r`.
-    pub fn decoded_bits(&self) -> Vec<bool> {
-        let lanes = self.monitors.len();
-        self.probe_times
-            .iter()
-            .skip(lanes) // the prime round
-            .map(|&t| t >= self.classifier.threshold)
-            .collect()
-    }
-}
-
-impl Actor for WideSpyActor {
-    fn step(&mut self, cpu: &mut CoreHandle<'_>) -> Result<StepOutcome, ModelError> {
-        match self.state {
-            WsState::WaitWindow(r) => {
-                if r > self.symbols {
-                    self.state = WsState::Finished;
-                    return Ok(StepOutcome::Done);
-                }
-                cpu.busy_until(self.window_start(r).saturating_sub(self.guard));
-                self.t1 = cpu.timer_read();
-                self.state = WsState::Probe(r, 0);
-            }
-            WsState::Probe(r, lane) => {
-                cpu.read(self.monitors[lane])?;
-                self.state = WsState::Close(r, lane);
-            }
-            WsState::Close(r, lane) => {
-                let t2 = cpu.timer_read();
-                cpu.clflush(self.monitors[lane])?;
-                self.probe_times
-                    .push(self.classifier.debias(t2.saturating_sub(self.t1)));
-                if lane + 1 < self.monitors.len() {
-                    self.t1 = cpu.timer_read();
-                    self.state = WsState::Probe(r, lane + 1);
-                } else {
-                    self.state = WsState::WaitWindow(r + 1);
-                }
-            }
-            WsState::Finished => return Ok(StepOutcome::Done),
-        }
-        Ok(StepOutcome::Running)
+        .run(setup, bits, &mut [], &mut NoopHook, |t| t >= threshold)
     }
 }
 

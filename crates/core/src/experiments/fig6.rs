@@ -5,7 +5,7 @@ use std::fmt;
 
 use mee_types::{Cycles, ModelError};
 
-use crate::channel::prime_probe::{PrimeProbeOutcome, PrimeProbeSession};
+use crate::channel::prime_probe::PrimeProbeSession;
 use crate::channel::{alternating_bits, ChannelConfig, Session, TransmitOutcome};
 use crate::report;
 use crate::setup::AttackSetup;
@@ -14,7 +14,7 @@ use crate::setup::AttackSetup;
 #[derive(Debug, Clone)]
 pub struct Fig6Result {
     /// (a): the Prime+Probe baseline.
-    pub prime_probe: PrimeProbeOutcome,
+    pub prime_probe: TransmitOutcome,
     /// (b): this work.
     pub this_work: TransmitOutcome,
 }

@@ -10,8 +10,9 @@
 //! * **The covert channel** (paper §5): the Prime+Probe baseline that fails
 //!   over the MEE cache ([`channel::prime_probe`], Figure 6a), and the
 //!   paper's role-reversed single-way channel of Algorithm 2
-//!   ([`channel::TrojanActor`] / [`channel::SpyActor`], Figure 6b), plus framing and
-//!   error-correction extensions ([`channel::coding`]);
+//!   ([`channel::Session`], Figure 6b), every channel one
+//!   [`channel::Sender`] / [`channel::Receiver`] window exchange, plus
+//!   framing and error-correction extensions ([`channel::coding`]);
 //! * **Noise programs** standing in for the paper's co-located workloads and
 //!   `stress-ng` ([`noise`], Figure 8);
 //! * **Experiment drivers** that regenerate every figure

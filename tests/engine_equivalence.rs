@@ -3,8 +3,8 @@
 //! file holds it *bit-identical* to [`reference_scan`], the original
 //! min-clock scan, which lives here and nowhere else.
 //!
-//! * The full-session tier establishes a real channel, builds the trojan
-//!   and spy actors exactly as `Session::transmit_hooked` does, and runs
+//! * The full-session tier establishes a real channel, builds the sender
+//!   and receiver actors exactly as `Session::transmit_hooked` does, and runs
 //!   them once under each scheduler, clean and under a light fault plan.
 //!   Decoded bits, probe latencies, one-costs, final clocks, MEE/LLC
 //!   statistics and fired fault times must all match. A third leg ties the
@@ -22,7 +22,9 @@
 //! ladder. `MEE_PROP_CASES` raises the case counts; `MEE_PROP_SEED`
 //! replays one case from a failure's one-line recipe.
 
-use mee_covert::attack::channel::{random_bits, ChannelConfig, Session, SpyActor, TrojanActor};
+use mee_covert::attack::channel::{
+    random_bits, ChannelConfig, ProbeShape, Receiver, Sender, Session,
+};
 use mee_covert::attack::setup::AttackSetup;
 use mee_covert::attack::threshold::LatencyClassifier;
 use mee_covert::cache::CacheStats;
@@ -335,26 +337,35 @@ fn run_session(
                 .core_now(session.receiver.core)
                 .max(setup.machine.core_now(session.sender.core));
             let start = Cycles::new((now.raw() / window.raw() + 3) * window.raw());
-            let mut trojan = TrojanActor::with_rotation(
-                session.eviction_set.clone(),
+            let mut sender = Sender::new(
+                vec![session.eviction_set.clone()],
                 bits.to_vec(),
                 window,
                 start,
                 session.config.strategy,
                 session.config.rotate_sweep,
+                Cycles::ZERO,
             );
             let classifier = LatencyClassifier::for_timer_probes(&setup.machine.config().timing);
-            let mut spy = SpyActor::new(session.monitor, window, start, bits.len(), classifier);
+            let mut receiver = Receiver::new(
+                vec![vec![session.monitor]],
+                window,
+                start,
+                bits.len(),
+                ProbeShape::FlushAfter,
+                Cycles::new((window.raw() / 10).clamp(400, 1_200)),
+                classifier.bias,
+            );
             let horizon = start + window * (bits.len() as u64 + 3) + Cycles::new(100_000);
             let mut actors: Vec<ActorRef<'_>> = vec![
-                (session.receiver.core, session.receiver.proc, &mut spy),
-                (session.sender.core, session.sender.proc, &mut trojan),
+                (session.receiver.core, session.receiver.proc, &mut receiver),
+                (session.sender.core, session.sender.proc, &mut sender),
             ];
             schedule(&mut setup.machine, &mut actors, horizon, hook).expect("transmit");
             (
-                spy.decoded_bits(),
-                spy.probe_times().to_vec(),
-                trojan.one_costs().to_vec(),
+                receiver.decode(|t| t >= classifier.threshold),
+                receiver.probe_times().to_vec(),
+                sender.one_costs().to_vec(),
             )
         }
     };

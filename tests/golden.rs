@@ -206,10 +206,7 @@ fn channel_families_match_snapshot() {
     let mut setup = testbed::noisy_setup(testbed::SEED).unwrap();
     let pp = PrimeProbeSession::establish(&mut setup, &cfg).unwrap();
     let out = pp.transmit(&mut setup, &bits).unwrap();
-    let elapsed = pp.config.window * (bits.len() as u64 + 1);
-    let clock_hz = setup.machine.config().timing.clock_hz();
-    let kbps = (bits.len() as f64 / 8.0) / elapsed.to_seconds(clock_hz) / 1000.0;
-    entry(&mut s, "prime_probe", &out.received, out.errors.count(), kbps);
+    entry(&mut s, "prime_probe", &out.received, out.errors.count(), out.kbps);
     let probe_bytes: Vec<u8> = out.probe_times.iter().flat_map(|t| t.raw().to_le_bytes()).collect();
     writeln!(s, "prime_probe probe_times fnv64={:016x}", fnv64(&probe_bytes)).unwrap();
 
