@@ -4,14 +4,9 @@
 //! once per `T_sync` window the [`Sender`] acts on each *lane* whose bit is
 //! `1`, and the [`Receiver`] times one probe set per lane near the window
 //! boundary. The families differ only in data, which each session's
-//! constructor fixes, one value per family:
-//!
-//! | family | sender lane | phase | receiver probe set | shape |
-//! |---|---|---|---|---|
-//! | Algorithm 2 ([`Session`](crate::channel::Session)) | eviction set | 0 | monitor | [`ProbeShape::FlushAfter`] |
-//! | [`wide`](crate::channel::wide) | k eviction sets | 0 | k monitors | [`ProbeShape::FlushAfter`] |
-//! | [Prime+Probe](crate::channel::prime_probe) | one target, forward only | `window/2` | eviction set | [`ProbeShape::TimedFlush`] |
-//! | [LLC](crate::channel::llc) | one target, forward only | `window/2` | eviction set | [`ProbeShape::NoFlush`] |
+//! constructor fixes, one value per family: the sender's lanes, phase and
+//! sweep strategy, and the receiver's probe sets, [`ProbeShape`], guard
+//! and timer bias.
 //!
 //! The sender's step sequence is the Algorithm 2 trojan's, one op per
 //! step, and stays so: a [`StepHook`] fires before every step, so moving an
@@ -34,9 +29,8 @@ pub struct TransmitOutcome {
     pub sent: Vec<bool>,
     /// What the receiver decoded.
     pub received: Vec<bool>,
-    /// The receiver's de-biased probe durations, one per lane per probe
-    /// round; the first round is the prime probe. These are the y-axis of
-    /// Figures 6 and 8.
+    /// The receiver's de-biased probe durations, one per lane per round
+    /// (the first round is the prime probe): the y-axis of Figures 6 and 8.
     pub probe_times: Vec<Cycles>,
     /// Positional bit errors.
     pub errors: BitErrors,
@@ -66,15 +60,9 @@ pub enum ProbeShape {
     /// `read` + `clflush` per address inside the measurement (the MEE
     /// Prime+Probe baseline).
     TimedFlush,
-    /// Reads only: classic Prime+Probe on the LLC relies on conflict
-    /// misses, and the set's lines alias in L1/L2, so the reads fall through
-    /// to the LLC by themselves.
+    /// Reads only (LLC Prime+Probe): the set's lines alias in L1/L2, so
+    /// conflict misses carry the reads through to the LLC.
     NoFlush,
-}
-
-/// Start of window `i` (`W(i)`).
-fn boundary(start: Cycles, window: Cycles, i: usize) -> Cycles {
-    start + window * i as u64
 }
 
 /// The sending actor. In each window with a `1` lane it waits until
@@ -142,10 +130,9 @@ impl Sender {
         rotate: bool,
         phase: Cycles,
     ) -> Self {
-        assert!(!lanes.is_empty(), "a sender needs at least one lane");
         assert!(
-            lanes.iter().all(|set| !set.is_empty()),
-            "every lane's address set must be non-empty"
+            !lanes.is_empty() && lanes.iter().all(|set| !set.is_empty()),
+            "a sender needs lanes, each with a non-empty address set"
         );
         assert_eq!(bits.len() % lanes.len(), 0, "bits must fill whole windows");
         Sender {
@@ -210,12 +197,12 @@ impl Actor for Sender {
                 }
                 match self.next_active(i, 0) {
                     Some(lane) => {
-                        cpu.busy_until(boundary(self.start, self.window, i) + self.phase);
+                        cpu.busy_until(self.start + self.window * i as u64 + self.phase);
                         self.active_since = cpu.now();
                         SendState::Forward(i, lane, 0)
                     }
                     None => {
-                        cpu.busy_until(boundary(self.start, self.window, i + 1));
+                        cpu.busy_until(self.start + self.window * (i as u64 + 1));
                         SendState::Window(i + 1)
                     }
                 }
@@ -247,7 +234,7 @@ impl Actor for Sender {
             }
             SendState::WaitWindowEnd(i) => {
                 // "busy loop for remaining time of T_sync".
-                cpu.busy_until(boundary(self.start, self.window, i + 1));
+                cpu.busy_until(self.start + self.window * (i as u64 + 1));
                 SendState::Window(i + 1)
             }
         };
@@ -308,10 +295,9 @@ impl Receiver {
         guard: Cycles,
         bias: Cycles,
     ) -> Self {
-        assert!(!lanes.is_empty(), "a receiver needs at least one lane");
         assert!(
-            lanes.iter().all(|set| !set.is_empty()),
-            "every lane's probe set must be non-empty"
+            !lanes.is_empty() && lanes.iter().all(|set| !set.is_empty()),
+            "a receiver needs lanes, each with a non-empty probe set"
         );
         let probes = (windows + 1) * lanes.len();
         Receiver {
@@ -352,7 +338,8 @@ impl Actor for Receiver {
                 if i > self.windows {
                     return Ok(StepOutcome::Done);
                 }
-                cpu.busy_until(boundary(self.start, self.window, i).saturating_sub(self.guard));
+                let boundary = self.start + self.window * i as u64;
+                cpu.busy_until(boundary.saturating_sub(self.guard));
                 self.t1 = cpu.timer_read();
                 RecvState::Probe(i, 0, 0)
             }
@@ -432,7 +419,6 @@ impl Exchange {
                 reason: "a window exchange needs a non-zero window".into(),
             });
         }
-        debug_assert_eq!(self.lanes.len(), self.probes.len(), "one probe set per lane");
         // Host-time span over the wire transmission: wall-clock only,
         // recorded at the end, so the simulated transcript is untouched.
         let host_start = std::time::Instant::now();
@@ -468,16 +454,14 @@ impl Exchange {
         let horizon = start + window * (windows as u64 + 3) + Cycles::new(100_000);
         let n = bits.len() as u64;
         setup.machine.trace_phase("transmit_start", n, start);
-        {
-            let mut actors: Vec<ActorRef<'_>> = vec![
-                (self.receiver.0, self.receiver.1, &mut receiver),
-                (self.sender.0, self.sender.1, &mut sender),
-            ];
-            for (core, proc, actor) in noise.iter_mut() {
-                actors.push((*core, *proc, &mut **actor));
-            }
-            run_actor_refs_hooked(&mut setup.machine, &mut actors, horizon, hook)?;
+        let mut actors: Vec<ActorRef<'_>> = vec![
+            (self.receiver.0, self.receiver.1, &mut receiver),
+            (self.sender.0, self.sender.1, &mut sender),
+        ];
+        for (core, proc, actor) in noise.iter_mut() {
+            actors.push((*core, *proc, &mut **actor));
         }
+        run_actor_refs_hooked(&mut setup.machine, &mut actors, horizon, hook)?;
         let t_end = setup.machine.core_now(self.receiver.0);
         setup.machine.trace_phase("transmit_end", n, t_end);
         setup
@@ -514,9 +498,21 @@ mod tests {
 
     /// Algorithm 2's sender on one eviction set: two-phase, rotating,
     /// phase 0.
-    fn sweep_sender(addrs: Vec<VirtAddr>, bits: Vec<bool>, window: Cycles, start: Cycles) -> Sender {
-        let strategy = EvictionStrategy::TwoPhase;
-        Sender::new(vec![addrs], bits, window, start, strategy, true, Cycles::ZERO)
+    fn sweep_sender(
+        addrs: Vec<VirtAddr>,
+        bits: Vec<bool>,
+        window: Cycles,
+        start: Cycles,
+    ) -> Sender {
+        Sender::new(
+            vec![addrs],
+            bits,
+            window,
+            start,
+            EvictionStrategy::TwoPhase,
+            true,
+            Cycles::ZERO,
+        )
     }
 
     /// Algorithm 2's receiver on one monitor address, guard as the session
@@ -530,8 +526,15 @@ mod tests {
     ) -> Receiver {
         let guard = Cycles::new((window.raw() / 10).clamp(400, 1_200));
         let bias = LatencyClassifier::for_timer_probes(t).bias;
-        let shape = ProbeShape::FlushAfter;
-        Receiver::new(vec![vec![monitor]], window, start, windows, shape, guard, bias)
+        Receiver::new(
+            vec![vec![monitor]],
+            window,
+            start,
+            windows,
+            ProbeShape::FlushAfter,
+            guard,
+            bias,
+        )
     }
 
     #[test]

@@ -90,16 +90,18 @@ impl LlcSession {
         // one miss.
         let mut quiet_total = 0u64;
         let reps = 8u64;
-        for &a in &eviction_set {
-            setup.machine.read(setup.spy.core, spy_proc, a)?;
-        }
-        for _ in 0..reps {
-            let t1 = setup.machine.timer_read(setup.spy.core);
+        {
             for &a in &eviction_set {
                 setup.machine.read(setup.spy.core, spy_proc, a)?;
             }
-            let t2 = setup.machine.timer_read(setup.spy.core);
-            quiet_total += t2.saturating_sub(t1).raw();
+            for _ in 0..reps {
+                let t1 = setup.machine.timer_read(setup.spy.core);
+                for &a in &eviction_set {
+                    setup.machine.read(setup.spy.core, spy_proc, a)?;
+                }
+                let t2 = setup.machine.timer_read(setup.spy.core);
+                quiet_total += t2.saturating_sub(t1).raw();
+            }
         }
         let t = &setup.machine.config().timing;
         let miss_penalty = (t.dram_row_hit + t.dram_row_miss) / 2;

@@ -11,15 +11,14 @@
 //! set, a short handshake gives the spy its monitor address, and
 //! [`Session::transmit`] runs both actors concurrently on their cores.
 //!
-//! Every channel here, this one included, is one window exchange
-//! ([`exchange`]): one [`Sender`] acting on per-lane address sets once per
-//! window, one [`Receiver`] timing a probe set per lane near the boundary.
-//! [`Session`], [`WideSession`], [`prime_probe::PrimeProbeSession`] and
-//! [`llc::LlcSession`] only fix the lanes, the sender's phase and the
-//! receiver's [`ProbeShape`]. [`prime_probe`] is the straightforward port
-//! of LLC Prime+Probe the paper shows *failing* over the MEE cache
-//! (Figure 6a), and [`coding`] adds the error-handling layer the paper
-//! leaves as future work.
+//! Every channel here is one [`exchange`]: a [`Sender`] acting on per-lane
+//! address sets once per window and a [`Receiver`] timing a probe set per
+//! lane near the boundary; [`Session`], [`WideSession`],
+//! [`prime_probe::PrimeProbeSession`] and [`llc::LlcSession`] only fix the
+//! lanes, the sender's phase and the receiver's [`ProbeShape`].
+//! [`prime_probe`] is the straightforward port of LLC Prime+Probe the paper
+//! shows *failing* over the MEE cache (Figure 6a), and [`coding`] adds the
+//! error-handling layer the paper leaves as future work.
 
 pub mod coding;
 mod config;

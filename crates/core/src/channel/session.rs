@@ -259,8 +259,7 @@ impl Session {
         noise: &mut [ActorRef<'_>],
         hook: &mut dyn StepHook,
     ) -> Result<TransmitOutcome, ModelError> {
-        // One lane at phase 0: the sweep starts on the boundary, and the
-        // monitor probe fires a guard interval before the next one.
+        // Algorithm 2: one lane at phase 0, probed a guard before each boundary.
         let window = self.config.window;
         let threshold = self.classifier.threshold;
         Exchange {

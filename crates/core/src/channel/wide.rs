@@ -4,11 +4,10 @@
 //! set. Nothing stops the pair from agreeing on several in-page offsets:
 //! each of the 8 version blocks of a page maps to a *different* MEE-cache
 //! set (offset `o` lands on set `≡ 2o+1 (mod 16)` within its alignment
-//! class), so up to 8 independent lanes coexist without colliding. The
-//! channel is the Algorithm 2 [window exchange](crate::channel::exchange)
-//! with one lane per offset: the sender sweeps the eviction sets of all
-//! `1` lanes inside the window, and the receiver probes one monitor
-//! address per lane in its guard slot.
+//! class), so up to 8 independent lanes coexist without colliding: the
+//! Algorithm 2 [exchange](crate::channel::exchange) with one lane per
+//! offset, whose sender sweeps every `1` lane's eviction set inside the
+//! window while the receiver probes each lane's monitor in its guard slot.
 //!
 //! Throughput: a lane's `1` costs ≈ 9000 cycles of trojan time, so the
 //! window must grow with the lane count and the speedup saturates around
