@@ -184,11 +184,16 @@ fn event_trace_matches_snapshot() {
 fn channel_families_match_snapshot() {
     use mee_covert::attack::channel::llc::LlcSession;
     use mee_covert::attack::channel::prime_probe::PrimeProbeSession;
-    use mee_covert::attack::channel::{random_bits, WideSession};
+    use mee_covert::attack::channel::{random_bits, TransmitOutcome, WideSession};
     use mee_covert::types::Cycles;
 
-    fn entry(s: &mut String, name: &str, received: &[bool], errors: usize, kbps: f64) {
-        let bits: String = received.iter().map(|&b| if b { '1' } else { '0' }).collect();
+    fn entry(s: &mut String, name: &str, out: &TransmitOutcome) {
+        let bits: String = out
+            .received
+            .iter()
+            .map(|&b| if b { '1' } else { '0' })
+            .collect();
+        let (errors, kbps) = (out.errors.count(), out.kbps);
         writeln!(s, "{name} received {bits} errors {errors} kbps {kbps:.4}").unwrap();
     }
 
@@ -200,19 +205,23 @@ fn channel_families_match_snapshot() {
         let mut setup = testbed::noisy_setup(testbed::SEED).unwrap();
         let wide = WideSession::establish(&mut setup, &cfg, lanes).unwrap();
         let out = wide.transmit(&mut setup, &bits).unwrap();
-        entry(&mut s, &format!("wide lanes={lanes}"), &out.received, out.errors.count(), out.kbps);
+        entry(&mut s, &format!("wide lanes={lanes}"), &out);
     }
 
     let mut setup = testbed::noisy_setup(testbed::SEED).unwrap();
     let pp = PrimeProbeSession::establish(&mut setup, &cfg).unwrap();
     let out = pp.transmit(&mut setup, &bits).unwrap();
-    entry(&mut s, "prime_probe", &out.received, out.errors.count(), out.kbps);
-    let probe_bytes: Vec<u8> = out.probe_times.iter().flat_map(|t| t.raw().to_le_bytes()).collect();
-    writeln!(s, "prime_probe probe_times fnv64={:016x}", fnv64(&probe_bytes)).unwrap();
+    entry(&mut s, "prime_probe", &out);
+    let times: Vec<u8> = out
+        .probe_times
+        .iter()
+        .flat_map(|t| t.raw().to_le_bytes())
+        .collect();
+    writeln!(s, "prime_probe probe_times fnv64={:016x}", fnv64(&times)).unwrap();
 
     let mut setup = testbed::noisy_setup(testbed::SEED).unwrap();
     let llc = LlcSession::establish(&mut setup, Cycles::new(4_000)).unwrap();
     let out = llc.transmit(&mut setup, &bits).unwrap();
-    entry(&mut s, "llc window=4000", &out.received, out.errors.count(), out.kbps);
+    entry(&mut s, "llc window=4000", &out);
     check_golden("channel_families.txt", &s);
 }
